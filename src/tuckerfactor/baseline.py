@@ -20,15 +20,13 @@ from .estimation import (
     FactorFit,
     _as_series,
     _center,
-    _check_ranks,
-    default_k_max,
+    _loadings_from_covariances,
     extract_factors,
     iterate_projected_fit,
     projected_series,
     reconstruct_signals,
-    select_rank_from_eigenvalues,
 )
-from .spectral import top_k_eigensystem
+from .tensor import _mode_gram
 
 
 def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
@@ -47,10 +45,9 @@ def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
         raise ValueError(f"h0={h0} requires at least {h0 + 1} observations")
     p = math.prod(x.shape[1:])
     p_d = x.shape[mode + 1]
-    axes = tuple(i for i in range(x.ndim) if i != mode + 1)
     out = np.zeros((p_d, p_d))
     for h in range(1, h0 + 1):
-        w = np.tensordot(x[:-h], x[h:], axes=(axes, axes)) / ((t_len - h) * p)
+        w = _mode_gram(x[:-h], x[h:], mode + 1) / ((t_len - h) * p)
         out += w @ w.T
     return (out + out.T) / 2.0
 
@@ -61,7 +58,7 @@ def _projected_tipup_matrix(x, loadings, mode, h0):
     t_len, p_d = y.shape[0], y.shape[1]
     out = np.zeros((p_d, p_d))
     for h in range(1, h0 + 1):
-        w = np.einsum("tij,tkj->ik", y[:-h], y[h:]) / ((t_len - h) * p_d)
+        w = _mode_gram(y[:-h], y[h:], 1) / ((t_len - h) * p_d)
         out += w @ w.T
     return (out + out.T) / 2.0
 
@@ -71,16 +68,10 @@ def estimate_ranks_tipup(x: np.ndarray, k_max: int | None = None, h0: int = 1,
     """Eigenvalue-ratio rank selection on the lagged auto-covariance matrices."""
     x = _as_series(x)
     x, _ = _center(x, center)
-    dims = x.shape[1:]
-    if k_max is None:
-        k_max = default_k_max(dims)
-    if k_max < 1 or any(k_max > p - 1 for p in dims):
-        raise ValueError(f"k_max={k_max} out of range for dims {dims}")
-    ranks = []
-    for d in range(len(dims)):
-        es = top_k_eigensystem(tipup_mode_matrix(x, d, h0), dims[d])
-        ranks.append(select_rank_from_eigenvalues(np.maximum(es.values, 0.0), k_max))
-    return tuple(ranks)
+    fitted, _ = _loadings_from_covariances(
+        x.shape[1:], "auto", k_max, lambda d: tipup_mode_matrix(x, d, h0)
+    )
+    return tuple(a.shape[1] for a in fitted)
 
 
 def itipup_fit(
@@ -103,17 +94,10 @@ def itipup_fit(
     """
     x = _as_series(x)
     xc, mean = _center(x, center)
-    dims = xc.shape[1:]
-    if isinstance(ranks, str):
-        if ranks != "auto":
-            raise ValueError(f"ranks must be a tuple or 'auto', got {ranks!r}")
-        ranks = estimate_ranks_tipup(xc, k_max=k_max, h0=h0)
-    else:
-        ranks = _check_ranks(ranks, dims)
-    init = []
-    for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
-        es = top_k_eigensystem(tipup_mode_matrix(xc, d, h0), p_d)
-        init.append(np.sqrt(p_d) * es.vectors[:, :k_d])
+    init, _ = _loadings_from_covariances(
+        xc.shape[1:], ranks, k_max, lambda d: tipup_mode_matrix(xc, d, h0)
+    )
+    ranks = tuple(a.shape[1] for a in init)
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
         xc,
         ranks,

@@ -206,16 +206,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rank(args) -> int:
     series = read_tensor_series(args.data)
-    center = not args.no_center
+    if not args.no_center:
+        series -= series.mean(axis=0)
     if args.method == "itipup":
-        ranks = estimate_ranks_tipup(series, k_max=args.kmax, h0=args.lags,
-                                     center=center)
-        cov = lambda d: tipup_mode_matrix(  # noqa: E731
-            series - series.mean(axis=0) if center else series, d, args.lags)
+        ranks = estimate_ranks_tipup(series, k_max=args.kmax, h0=args.lags)
+        cov = lambda d: tipup_mode_matrix(series, d, args.lags)  # noqa: E731
     else:
-        ranks = estimate_ranks(series, k_max=args.kmax, center=center)
-        cov = lambda d: mode_covariance(  # noqa: E731
-            series - series.mean(axis=0) if center else series, d)
+        ranks = estimate_ranks(series, k_max=args.kmax)
+        cov = lambda d: mode_covariance(series, d)  # noqa: E731
     print(",".join(str(k) for k in ranks))
     for d in range(series.ndim - 1):
         values = top_k_eigensystem(cov(d), series.shape[d + 1]).values
@@ -237,7 +235,7 @@ def _cmd_reconstruct(args) -> int:
     factors = extract_factors(centered, loadings)
     signals = reconstruct_signals(factors, loadings)
     if mean is not None and not args.centered_output:
-        signals = signals + mean
+        signals += mean
     reference = centered if args.centered_output else series
     re_val = reconstruction_error(reference, signals)
     if args.out is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import subspace_distance, top_k_eigensystem
-from .tensor import mode_product, multi_mode_product
+from .tensor import _mode_gram, mode_product, multi_mode_product
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -104,7 +104,7 @@ class EstimatorConfig:
 
 
 def _as_series(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim < 2:
         raise ValueError("a series must have shape (T, p_1, ..., p_D)")
     if x.shape[0] < 1:
@@ -143,10 +143,7 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
     d_count = x.ndim - 1
     if not 0 <= mode < d_count:
         raise ValueError(f"mode {mode} out of range for {d_count}-way data")
-    t_len = x.shape[0]
-    p = math.prod(x.shape[1:])
-    axes = tuple(i for i in range(x.ndim) if i != mode + 1)
-    m = np.tensordot(x, x, axes=(axes, axes)) / (t_len * p)
+    m = _mode_gram(x, x, mode + 1) / x.size
     return (m + m.T) / 2.0
 
 
@@ -187,8 +184,7 @@ def projected_series(x: np.ndarray, loadings, mode: int) -> np.ndarray:
 def projected_mode_covariance(x: np.ndarray, loadings, mode: int) -> np.ndarray:
     """Covariance ``sum_t Y_t Y_t' / (T p_d)`` of the projected series."""
     y = projected_series(x, loadings, mode)
-    t_len, p_d = y.shape[0], y.shape[1]
-    m = np.einsum("tij,tkj->ik", y, y) / (t_len * p_d)
+    m = _mode_gram(y, y, 1) / (y.shape[0] * y.shape[1])
     return (m + m.T) / 2.0
 
 
@@ -240,37 +236,35 @@ def estimate_ranks(
     """
     x = _as_series(x)
     x, _ = _center(x, center)
-    dims = x.shape[1:]
-    if k_max is None:
-        k_max = default_k_max(dims)
-    if k_max < 1 or any(k_max > p - 1 for p in dims):
-        raise ValueError(f"k_max={k_max} out of range for dims {dims}")
-    ranks = []
-    for d in range(len(dims)):
-        if loadings is None:
-            m = mode_covariance(x, d)
-        else:
-            m = projected_mode_covariance(x, loadings, d)
-        es = top_k_eigensystem(m, dims[d])
-        ranks.append(select_rank_from_eigenvalues(np.maximum(es.values, 0.0), k_max))
-    return tuple(ranks)
+    if loadings is None:
+        cov_fn = lambda d: mode_covariance(x, d)  # noqa: E731
+    else:
+        cov_fn = lambda d: projected_mode_covariance(x, loadings, d)  # noqa: E731
+    fitted, _ = _loadings_from_covariances(x.shape[1:], "auto", k_max, cov_fn)
+    return tuple(a.shape[1] for a in fitted)
 
 
-def _resolve_ranks(x, ranks, k_max):
-    if isinstance(ranks, str):
+def _loadings_from_covariances(dims, ranks, k_max, cov_fn):
+    """Eigendecompose one covariance per mode; returns loadings + spectra.
+
+    With ``ranks="auto"`` each rank comes from the ratio rule on the same
+    spectrum that yields the loadings, so every covariance is built once.
+    """
+    auto = isinstance(ranks, str)
+    if auto:
         if ranks != "auto":
             raise ValueError(f"ranks must be a tuple or 'auto', got {ranks!r}")
-        return estimate_ranks(x, k_max=k_max)
-    return _check_ranks(ranks, x.shape[1:])
-
-
-def _loadings_from_covariances(x, ranks, cov_fn):
-    """Eigendecompose one covariance per mode; returns loadings + spectra."""
-    dims = x.shape[1:]
+        if k_max is None:
+            k_max = default_k_max(dims)
+        if k_max < 1 or any(k_max > p - 1 for p in dims):
+            raise ValueError(f"k_max={k_max} out of range for dims {dims}")
+    else:
+        ranks = _check_ranks(ranks, dims)
     loadings, eigvals = [], []
-    for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
+    for d, p_d in enumerate(dims):
         es = top_k_eigensystem(cov_fn(d), p_d)
         eigvals.append(np.maximum(es.values, 0.0))
+        k_d = select_rank_from_eigenvalues(eigvals[d], k_max) if auto else ranks[d]
         loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
     return loadings, eigvals
 
@@ -303,9 +297,8 @@ def mopca_fit(
     """
     x = _as_series(x)
     xc, mean = _center(x, center)
-    ranks = _resolve_ranks(xc, ranks, k_max)
     loadings, eigvals = _loadings_from_covariances(
-        xc, ranks, lambda d: mode_covariance(xc, d)
+        xc.shape[1:], ranks, k_max, lambda d: mode_covariance(xc, d)
     )
     factors = extract_factors(xc, loadings)
     signals = reconstruct_signals(factors, loadings) if keep_signals else None
@@ -343,12 +336,8 @@ def pmopca_fit(
         ranks = tuple(a.shape[1] for a in init)
     else:
         init = [np.asarray(a, dtype=float) for a in init]
-        if isinstance(ranks, str):
-            ranks = estimate_ranks(xc, k_max=k_max, loadings=init)
-        else:
-            ranks = _check_ranks(ranks, xc.shape[1:])
     loadings, eigvals = _loadings_from_covariances(
-        xc, ranks, lambda d: projected_mode_covariance(xc, init, d)
+        xc.shape[1:], ranks, k_max, lambda d: projected_mode_covariance(xc, init, d)
     )
     dist = max(
         subspace_distance(new, old) for new, old in zip(loadings, init)

@@ -130,8 +130,11 @@ def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
     start = time.perf_counter()
     try:
         fit = _fit_method(method, series, cfg)
-        ranks_est = _select_ranks(method, series, cfg)
         seconds = time.perf_counter() - start
+        # an automatic fit already applied the ratio rule; only explicit
+        # ranks need a separate, untimed selection
+        ranks_est = (fit.ranks if isinstance(cfg.ranks, str)
+                     else _select_ranks(method, series, cfg))
     except Exception as exc:  # noqa: BLE001 - a failed rep must not kill the run
         seconds = time.perf_counter() - start
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)

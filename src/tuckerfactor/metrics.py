@@ -57,7 +57,11 @@ def reconstruction_error(series: np.ndarray, signals: np.ndarray) -> float:
     signals = np.asarray(signals, dtype=float)
     if series.shape != signals.shape:
         raise ValueError(f"shape mismatch: {series.shape} vs {signals.shape}")
-    denom = np.linalg.norm(series.ravel())
-    if denom == 0:
+    num = den = 0.0
+    for s_t, x_t in zip(np.atleast_1d(signals), np.atleast_1d(series)):
+        r_t, x_t = (s_t - x_t).ravel(), x_t.ravel()
+        num += r_t @ r_t
+        den += x_t @ x_t
+    if den == 0:
         raise ValueError("reconstruction_error: data has zero norm")
-    return float(np.linalg.norm((signals - series).ravel()) / denom)
+    return float(np.sqrt(num) / np.sqrt(den))

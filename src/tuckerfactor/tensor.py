@@ -9,6 +9,12 @@ fastest, so that
     vec(F x_1 A_1 x_2 ... x_D A_D) = (A_D kron ... kron A_1) vec(F).
 
 Modes are 0-based throughout the API.
+
+Memory layout: the contraction kernels (:func:`mode_product` and the
+mode Gram matrices behind the covariance estimators) view a C-contiguous
+array as ``(A, p_d, B)`` around the contracted axis and hand that view to
+BLAS, so no unfolding is ever copied.  Only non-contiguous input is
+copied, once, by that reshape; results are C-contiguous.
 """
 
 from __future__ import annotations
@@ -16,6 +22,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# largest (A, p_d, p_d) stack of per-slice Gram matrices built in one
+# batched matmul; bigger stacks accumulate slice by slice
+_BATCH_ELEMS = 1 << 18
 
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
@@ -76,7 +86,37 @@ def mode_product(x: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
             f"matrix with {mat.shape[1]} columns cannot contract mode {mode} "
             f"of size {x.shape[mode]}"
         )
-    return np.moveaxis(np.tensordot(mat, x, axes=(1, mode)), 0, mode)
+    a, p, b = _split(x.shape, mode)
+    shape = x.shape[:mode] + (mat.shape[0],) + x.shape[mode + 1:]
+    if b == 1:
+        return (x.reshape(a, p) @ mat.T).reshape(shape)
+    return np.matmul(mat, x.reshape(a, p, b)).reshape(shape)
+
+
+def _split(shape, axis):
+    """Sizes ``(A, p_d, B)`` of the axes before, at and after ``axis``."""
+    return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+
+
+def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """``unfold(x, axis) @ unfold(y, axis).T`` for arrays of one shape.
+
+    Sums ``x_i @ y_i.T`` over the ``(A, p_d, B)`` slices without forming
+    either unfolding; when ``y`` is ``x`` every product is ``z @ z.T`` on
+    one buffer, which numpy evaluates with ``syrk``.
+    """
+    a, p, b = _split(x.shape, axis)
+    if b == 1:
+        return x.reshape(a, p).T @ y.reshape(a, p)
+    x, y = x.reshape(a, p, b), y.reshape(a, p, b)
+    if a * p * p <= _BATCH_ELEMS:
+        return np.matmul(x, y.transpose(0, 2, 1)).sum(axis=0)
+    out = x[0] @ y[0].T
+    term = np.empty_like(out)
+    for i in range(1, a):
+        np.matmul(x[i], y[i].T, out=term)
+        out += term
+    return out
 
 
 def multi_mode_product(

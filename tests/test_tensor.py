@@ -4,16 +4,22 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tuckerfactor import (
     fold,
     frobenius_norm,
     kronecker,
+    mode_covariance,
     mode_product,
     multi_mode_product,
+    tipup_mode_matrix,
     unfold,
     vectorize,
 )
+from tuckerfactor import tensor as tensor_module
 
 
 def reference_unfold(x, mode):
@@ -139,6 +145,71 @@ class TestModeProduct:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             mode_product(rng.standard_normal((3, 4)), np.zeros((2, 5)), 0)
+
+
+@st.composite
+def tensors(draw, min_dims=1, max_dims=4, min_lead=1):
+    """Random arrays with C-ordered, Fortran-ordered or strided storage."""
+    shape = draw(hnp.array_shapes(min_dims=min_dims, max_dims=max_dims,
+                                  min_side=1, max_side=4))
+    shape = (max(shape[0], min_lead),) + shape[1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        big = rng.standard_normal(tuple(2 * s for s in shape))
+        return big[tuple(slice(None, None, 2) for _ in shape)]
+    x = rng.standard_normal(shape)
+    return np.asfortranarray(x) if layout == "F" else x
+
+
+def unfold_gram(x, y, mode):
+    """sum_t X_t^(d) Y_t^(d)' over the leading axis, from the unfoldings."""
+    return sum(unfold(x_t, mode) @ unfold(y_t, mode).T for x_t, y_t in zip(x, y))
+
+
+class TestContractionKernels:
+    """The layout-aware kernels agree with their unfolding definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=tensors(), data=st.data())
+    def test_mode_product(self, x, data):
+        mode = data.draw(st.integers(0, x.ndim - 1))
+        k = data.draw(st.integers(1, x.shape[mode] + 3))  # k < p_d and k > p_d
+        mat = np.random.default_rng(k).standard_normal((k, x.shape[mode]))
+        out = mode_product(x, mat, mode)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, mode_product(x, mat, mode))
+        expected = fold(mat @ unfold(x, mode), mode, out.shape)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=tensors(min_dims=2, max_dims=5), batched=st.booleans(),
+           data=st.data())
+    def test_mode_covariance(self, x, batched, data):
+        mode = data.draw(st.integers(0, x.ndim - 2))
+        with pytest.MonkeyPatch.context() as mp:
+            if not batched:  # force the slice-by-slice accumulation
+                mp.setattr(tensor_module, "_BATCH_ELEMS", 0)
+            out = mode_covariance(x, mode)
+            assert np.array_equal(out, mode_covariance(x, mode))
+        expected = unfold_gram(x, x, mode) / x.size
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=tensors(min_dims=2, max_dims=5, min_lead=2), batched=st.booleans(),
+           data=st.data())
+    def test_tipup_mode_matrix(self, x, batched, data):
+        mode = data.draw(st.integers(0, x.ndim - 2))
+        h0 = data.draw(st.integers(1, x.shape[0] - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            if not batched:
+                mp.setattr(tensor_module, "_BATCH_ELEMS", 0)
+            out = tipup_mode_matrix(x, mode, h0)
+        expected = 0.0
+        for h in range(1, h0 + 1):
+            w = unfold_gram(x[:-h], x[h:], mode) / ((len(x) - h) * x[0].size)
+            expected = expected + w @ w.T
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestMultiModeProduct:

@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-# largest (A, p_d, p_d) stack of per-slice Gram matrices built in one
-# batched matmul; bigger stacks accumulate slice by slice
-_BATCH_ELEMS = 1 << 18
+# elements in the (step, p_d, p_d) stack of per-slice Gram matrices that
+# one batched matmul builds before it is summed; bounds that temporary
+_BATCH_ELEMS = 1 << 16
 
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
@@ -102,20 +102,19 @@ def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """``unfold(x, axis) @ unfold(y, axis).T`` for arrays of one shape.
 
     Sums ``x_i @ y_i.T`` over the ``(A, p_d, B)`` slices without forming
-    either unfolding; when ``y`` is ``x`` every product is ``z @ z.T`` on
-    one buffer, which numpy evaluates with ``syrk``.
+    either unfolding, one batched matmul per chunk of slices; when ``y`` is
+    ``x`` every product is ``z @ z.T`` on one buffer, which numpy evaluates
+    with ``syrk``.
     """
     a, p, b = _split(x.shape, axis)
     if b == 1:
         return x.reshape(a, p).T @ y.reshape(a, p)
     x, y = x.reshape(a, p, b), y.reshape(a, p, b)
-    if a * p * p <= _BATCH_ELEMS:
-        return np.matmul(x, y.transpose(0, 2, 1)).sum(axis=0)
-    out = x[0] @ y[0].T
-    term = np.empty_like(out)
-    for i in range(1, a):
-        np.matmul(x[i], y[i].T, out=term)
-        out += term
+    step = max(1, _BATCH_ELEMS // (p * p))
+    out = np.zeros((p, p))
+    for i in range(0, a, step):
+        xs, ys = x[i:i + step], y[i:i + step]
+        out += np.matmul(xs, ys.transpose(0, 2, 1)).sum(axis=0)
     return out
 
 

@@ -167,6 +167,11 @@ def unfold_gram(x, y, mode):
     return sum(unfold(x_t, mode) @ unfold(y_t, mode).T for x_t, y_t in zip(x, y))
 
 
+# Gram chunk budgets from one slice per chunk through ragged chunks to the
+# default, which covers every drawn array in a single chunk
+chunk_budgets = st.one_of(st.integers(0, 100), st.just(tensor_module._BATCH_ELEMS))
+
+
 class TestContractionKernels:
     """The layout-aware kernels agree with their unfolding definitions."""
 
@@ -183,27 +188,25 @@ class TestContractionKernels:
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(x=tensors(min_dims=2, max_dims=5), batched=st.booleans(),
+    @given(x=tensors(min_dims=2, max_dims=5), chunk=chunk_budgets,
            data=st.data())
-    def test_mode_covariance(self, x, batched, data):
+    def test_mode_covariance(self, x, chunk, data):
         mode = data.draw(st.integers(0, x.ndim - 2))
         with pytest.MonkeyPatch.context() as mp:
-            if not batched:  # force the slice-by-slice accumulation
-                mp.setattr(tensor_module, "_BATCH_ELEMS", 0)
+            mp.setattr(tensor_module, "_BATCH_ELEMS", chunk)
             out = mode_covariance(x, mode)
             assert np.array_equal(out, mode_covariance(x, mode))
         expected = unfold_gram(x, x, mode) / x.size
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(x=tensors(min_dims=2, max_dims=5, min_lead=2), batched=st.booleans(),
+    @given(x=tensors(min_dims=2, max_dims=5, min_lead=2), chunk=chunk_budgets,
            data=st.data())
-    def test_tipup_mode_matrix(self, x, batched, data):
+    def test_tipup_mode_matrix(self, x, chunk, data):
         mode = data.draw(st.integers(0, x.ndim - 2))
         h0 = data.draw(st.integers(1, x.shape[0] - 1))
         with pytest.MonkeyPatch.context() as mp:
-            if not batched:
-                mp.setattr(tensor_module, "_BATCH_ELEMS", 0)
+            mp.setattr(tensor_module, "_BATCH_ELEMS", chunk)
             out = tipup_mode_matrix(x, mode, h0)
         expected = 0.0
         for h in range(1, h0 + 1):

@@ -24,7 +24,6 @@ from .estimation import (
     extract_factors,
     iterate_projected_fit,
     projected_series,
-    reconstruct_signals,
 )
 from .tensor import _mode_gram
 
@@ -83,7 +82,6 @@ def itipup_fit(
     update_within_sweep: bool = True,
     center: bool = True,
     k_max: int | None = None,
-    keep_signals: bool = True,
 ) -> FactorFit:
     """Iterative projected fit driven by lagged auto-covariances.
 
@@ -107,12 +105,9 @@ def itipup_fit(
         max_iter=max_iter,
         update_within_sweep=update_within_sweep,
     )
-    factors = extract_factors(xc, loadings)
-    signals = reconstruct_signals(factors, loadings) if keep_signals else None
     return FactorFit(
         loadings=loadings,
-        factors=factors,
-        signals=signals,
+        factors=extract_factors(xc, loadings),
         eigvals=eigvals,
         iterations=sweeps,
         converged=converged,

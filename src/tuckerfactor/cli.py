@@ -19,10 +19,10 @@ import time
 
 import numpy as np
 
-from .baseline import estimate_ranks_tipup, tipup_mode_matrix
+from .baseline import tipup_mode_matrix
 from .estimation import (
     EstimatorConfig,
-    estimate_ranks,
+    _loadings_from_covariances,
     extract_factors,
     mode_covariance,
     reconstruct_signals,
@@ -42,7 +42,6 @@ from .io import (
 )
 from .metrics import reconstruction_error
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .spectral import top_k_eigensystem
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -209,14 +208,14 @@ def _cmd_rank(args) -> int:
     if not args.no_center:
         series -= series.mean(axis=0)
     if args.method == "itipup":
-        ranks = estimate_ranks_tipup(series, k_max=args.kmax, h0=args.lags)
         cov = lambda d: tipup_mode_matrix(series, d, args.lags)  # noqa: E731
     else:
-        ranks = estimate_ranks(series, k_max=args.kmax)
         cov = lambda d: mode_covariance(series, d)  # noqa: E731
-    print(",".join(str(k) for k in ranks))
-    for d in range(series.ndim - 1):
-        values = top_k_eigensystem(cov(d), series.shape[d + 1]).values
+    loadings, spectra = _loadings_from_covariances(
+        series.shape[1:], "auto", args.kmax, cov
+    )
+    print(",".join(str(a.shape[1]) for a in loadings))
+    for d, values in enumerate(spectra):
         listing = " ".join(f"{v:.6g}" for v in values)
         print(f"mode {d + 1} eigenvalues: {listing}")
     return 0
@@ -233,11 +232,14 @@ def _cmd_reconstruct(args) -> int:
     mean = series.mean(axis=0) if center else None
     centered = series - mean if center else series
     factors = extract_factors(centered, loadings)
+    # release the centred copy unless it is the RE reference
+    if args.centered_output:
+        series = centered
+    del centered
     signals = reconstruct_signals(factors, loadings)
     if mean is not None and not args.centered_output:
         signals += mean
-    reference = centered if args.centered_output else series
-    re_val = reconstruction_error(reference, signals)
+    re_val = reconstruction_error(series, signals)
     if args.out is not None:
         write_tensor_series(args.out, signals)
     print(f"RE: {re_val:.6f}")

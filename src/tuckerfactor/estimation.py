@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,9 @@ class FactorFit:
         with ``loadings[d].T @ loadings[d] = p_d * I`` up to rounding.
     factors : ndarray
         Core tensors, shape ``(T, k_1, ..., k_D)``.
-    signals : ndarray or None
-        Fitted low-rank part, shape ``(T, p_1, ..., p_D)``.  Reported in
+    signals : ndarray
+        Fitted low-rank part, shape ``(T, p_1, ..., p_D)``, computed from
+        the factors and loadings on first access and kept.  Reported in
         centered coordinates when the fit centered the data.
     eigvals : list of ndarray
         Per-mode descending eigenvalues of the final covariance matrices
@@ -63,7 +65,6 @@ class FactorFit:
 
     loadings: list[np.ndarray]
     factors: np.ndarray
-    signals: np.ndarray | None
     eigvals: list[np.ndarray]
     iterations: int
     converged: bool
@@ -73,6 +74,10 @@ class FactorFit:
     @property
     def ranks(self) -> tuple[int, ...]:
         return tuple(a.shape[1] for a in self.loadings)
+
+    @cached_property
+    def signals(self) -> np.ndarray:
+        return reconstruct_signals(self.factors, self.loadings)
 
 
 @dataclass
@@ -249,6 +254,7 @@ def _loadings_from_covariances(dims, ranks, k_max, cov_fn):
 
     With ``ranks="auto"`` each rank comes from the ratio rule on the same
     spectrum that yields the loadings, so every covariance is built once.
+    Spectra are raw: the ratio rule floors rounding-level negatives.
     """
     auto = isinstance(ranks, str)
     if auto:
@@ -260,13 +266,19 @@ def _loadings_from_covariances(dims, ranks, k_max, cov_fn):
             raise ValueError(f"k_max={k_max} out of range for dims {dims}")
     else:
         ranks = _check_ranks(ranks, dims)
-    loadings, eigvals = [], []
+    loadings, spectra = [], []
     for d, p_d in enumerate(dims):
         es = top_k_eigensystem(cov_fn(d), p_d)
-        eigvals.append(np.maximum(es.values, 0.0))
-        k_d = select_rank_from_eigenvalues(eigvals[d], k_max) if auto else ranks[d]
+        spectra.append(es.values)
+        k_d = select_rank_from_eigenvalues(es.values, k_max) if auto else ranks[d]
         loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
-    return loadings, eigvals
+    return loadings, spectra
+
+
+def _mopca_loadings(xc, ranks, k_max):
+    return _loadings_from_covariances(
+        xc.shape[1:], ranks, k_max, lambda d: mode_covariance(xc, d)
+    )
 
 
 def mopca_fit(
@@ -274,7 +286,6 @@ def mopca_fit(
     ranks="auto",
     center: bool = True,
     k_max: int | None = None,
-    keep_signals: bool = True,
 ) -> FactorFit:
     """Mode-wise PCA fit.
 
@@ -292,21 +303,14 @@ def mopca_fit(
         Subtract the temporal mean tensor before estimating.
     k_max : int, optional
         Ratio-rule search bound when ``ranks="auto"``.
-    keep_signals : bool
-        Also materialize the fitted signal tensors.
     """
     x = _as_series(x)
     xc, mean = _center(x, center)
-    loadings, eigvals = _loadings_from_covariances(
-        xc.shape[1:], ranks, k_max, lambda d: mode_covariance(xc, d)
-    )
-    factors = extract_factors(xc, loadings)
-    signals = reconstruct_signals(factors, loadings) if keep_signals else None
+    loadings, spectra = _mopca_loadings(xc, ranks, k_max)
     return FactorFit(
         loadings=loadings,
-        factors=factors,
-        signals=signals,
-        eigvals=eigvals,
+        factors=extract_factors(xc, loadings),
+        eigvals=[np.maximum(v, 0.0) for v in spectra],
         iterations=0,
         converged=True,
         per_sweep_distance=[],
@@ -320,7 +324,6 @@ def pmopca_fit(
     init=None,
     center: bool = True,
     k_max: int | None = None,
-    keep_signals: bool = True,
 ) -> FactorFit:
     """Projected mode-wise PCA fit.
 
@@ -331,24 +334,20 @@ def pmopca_fit(
     x = _as_series(x)
     xc, mean = _center(x, center)
     if init is None:
-        init = mopca_fit(xc, ranks, center=False, k_max=k_max,
-                         keep_signals=False).loadings
+        init, _ = _mopca_loadings(xc, ranks, k_max)
         ranks = tuple(a.shape[1] for a in init)
     else:
         init = [np.asarray(a, dtype=float) for a in init]
-    loadings, eigvals = _loadings_from_covariances(
+    loadings, spectra = _loadings_from_covariances(
         xc.shape[1:], ranks, k_max, lambda d: projected_mode_covariance(xc, init, d)
     )
     dist = max(
         subspace_distance(new, old) for new, old in zip(loadings, init)
     )
-    factors = extract_factors(xc, loadings)
-    signals = reconstruct_signals(factors, loadings) if keep_signals else None
     return FactorFit(
         loadings=loadings,
-        factors=factors,
-        signals=signals,
-        eigvals=eigvals,
+        factors=extract_factors(xc, loadings),
+        eigvals=[np.maximum(v, 0.0) for v in spectra],
         iterations=1,
         converged=True,
         per_sweep_distance=[dist],
@@ -414,7 +413,6 @@ def ipmopca_fit(
     center: bool = True,
     k_max: int | None = None,
     stop_norm: str = "spectral",
-    keep_signals: bool = True,
 ) -> FactorFit:
     """Iterative projected mode-wise PCA fit.
 
@@ -430,8 +428,7 @@ def ipmopca_fit(
     x = _as_series(x)
     xc, mean = _center(x, center)
     if init is None:
-        init = mopca_fit(xc, ranks, center=False, k_max=k_max,
-                         keep_signals=False).loadings
+        init, _ = _mopca_loadings(xc, ranks, k_max)
         ranks = tuple(a.shape[1] for a in init)
     else:
         init = [np.asarray(a, dtype=float) for a in init]
@@ -449,12 +446,9 @@ def ipmopca_fit(
         update_within_sweep=update_within_sweep,
         stop_norm=stop_norm,
     )
-    factors = extract_factors(xc, loadings)
-    signals = reconstruct_signals(factors, loadings) if keep_signals else None
     return FactorFit(
         loadings=loadings,
-        factors=factors,
-        signals=signals,
+        factors=extract_factors(xc, loadings),
         eigvals=eigvals,
         iterations=sweeps,
         converged=converged,

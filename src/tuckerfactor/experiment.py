@@ -118,18 +118,11 @@ def _select_ranks(method, series, cfg: EstimatorConfig):
     return estimate_ranks(series, k_max=cfg.k_max, center=cfg.center)
 
 
-def _signals_in_original_coordinates(fit):
-    if fit.signals is None:
-        return None
-    if fit.mean is None:
-        return fit.signals
-    return fit.signals + fit.mean
-
-
 def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
     start = time.perf_counter()
     try:
         fit = _fit_method(method, series, cfg)
+        s_hat = fit.signals  # built on first access: timed with the fit
         seconds = time.perf_counter() - start
         # an automatic fit already applied the ratio rule; only explicit
         # ranks need a separate, untimed selection
@@ -140,8 +133,9 @@ def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
         return EvalReport(method=method, replication=rep, seconds=seconds,
                           error=str(exc)), None
-    s_hat = _signals_in_original_coordinates(fit)
-    re_val = reconstruction_error(series, s_hat) if s_hat is not None else None
+    if fit.mean is not None:
+        s_hat = s_hat + fit.mean
+    re_val = reconstruction_error(series, s_hat)
     distances = rmse = acc = None
     if truth is not None:
         distances = tuple(

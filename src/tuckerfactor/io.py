@@ -13,11 +13,16 @@ Layout (all integers little-endian, independent of host byte order):
 
 Loading matrices are stored in the same container as 2-way tensors with
 T = 1, one file per mode with suffixes ``.A1``, ``.A2``, ...
+
+The reader streams the payload one tensor at a time into the array it
+returns, so it holds the series once.
 """
 
 from __future__ import annotations
 
+import glob
 import math
+import os
 import struct
 
 import numpy as np
@@ -71,7 +76,7 @@ def write_tensor_series(path, series) -> None:
 def read_tensor_series(path) -> np.ndarray:
     """Read a tensor series written by :func:`write_tensor_series`.
 
-    Returns an array of shape ``(T, p_1, ..., p_D)``.  Raises
+    Returns a C-ordered array of shape ``(T, p_1, ..., p_D)``.  Raises
     :class:`BadMagicError`, :class:`VersionMismatchError` or
     :class:`PayloadSizeError` on corrupted files, each naming the byte
     offset of the problem.
@@ -114,23 +119,27 @@ def read_tensor_series(path) -> np.ndarray:
         payload_offset = _HEADER_FIXED + 8 * d_count
         p = math.prod(dims)
         expected = t_len * p * 8
-        data = np.fromfile(fh, dtype="<f8", count=t_len * p)
-        if data.size < t_len * p:
+        # check sizes first, so a corrupt header cannot size the allocation
+        held = os.fstat(fh.fileno()).st_size - payload_offset
+        if held < expected:
             raise PayloadSizeError(
                 f"payload starting at byte {payload_offset} holds "
-                f"{data.size * 8} bytes, header declares {expected}"
+                f"{held - held % 8} bytes, header declares {expected}"
             )
-        if fh.read(1):
+        if held > expected:
             raise PayloadSizeError(
                 f"trailing bytes after declared payload of {expected} bytes "
                 f"at offset {payload_offset}"
             )
-    d = len(dims)
-    # per-tensor buffers are Fortran order: reshape reversed dims, then
-    # swap the tensor axes back into place
-    out = data.reshape((t_len,) + dims[::-1])
-    out = out.transpose((0,) + tuple(range(d, 0, -1)))
-    return np.ascontiguousarray(out.astype(float, copy=False))
+        out = np.empty((t_len,) + dims)
+        buf = np.empty(p, dtype="<f8")
+        # a tensor is stored first index fastest: C order with axes reversed
+        tensor = buf.reshape(dims[::-1]).T
+        for t in range(t_len):
+            if fh.readinto(buf) != buf.nbytes:
+                raise PayloadSizeError(f"payload of {path} shrank while being read")
+            out[t] = tensor
+    return out
 
 
 def write_loadings(prefix, loadings) -> list[str]:
@@ -152,23 +161,24 @@ def write_loadings(prefix, loadings) -> list[str]:
 
 def read_loadings(prefix) -> list[np.ndarray]:
     """Read the ``.A1``, ``.A2``, ... loading files written by
-    :func:`write_loadings`."""
+    :func:`write_loadings`.
+
+    A numbered file beyond the first missing one raises
+    :class:`TensorSeriesFormatError` instead of being left out.
+    """
     loadings = []
-    d = 1
-    while True:
-        path = f"{prefix}.A{d}"
-        try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            break
-        fh.close()
+    while os.path.exists(path := f"{prefix}.A{len(loadings) + 1}"):
         arr = read_tensor_series(path)
         if arr.ndim != 3 or arr.shape[0] != 1:
             raise TensorSeriesFormatError(
                 f"{path} does not hold a single loading matrix"
             )
         loadings.append(arr[0])
-        d += 1
+    stem = f"{prefix}.A"
+    found = [name[len(stem):] for name in glob.glob(glob.escape(stem) + "*")]
+    beyond = sorted(int(n) for n in found if n.isdigit() and int(n) > len(loadings))
+    if beyond:
+        raise TensorSeriesFormatError(f"{path} missing, but {stem}{beyond[0]} exists")
     if not loadings:
         raise FileNotFoundError(f"no loading files found at {prefix}.A1, ...")
     return loadings

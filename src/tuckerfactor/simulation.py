@@ -154,11 +154,12 @@ def simulate_noise_path(T: int, dims, psi: float,
 
     scale = np.sqrt(1.0 - psi * psi)
     state = innovation(1)[0]
-    out = np.empty((T,) + dims)
-    innov = innovation(T)
+    # in place on the innovations; IEEE addition commutes, so bits are kept
+    out = innovation(T)
     for t in range(T):
-        state = psi * state + scale * innov[t]
-        out[t] = state
+        out[t] *= scale
+        out[t] += psi * state
+        state = out[t]
     return out
 
 
@@ -173,10 +174,12 @@ def simulate_dataset(config: SimConfig, replication: int = 0):
     loadings = [generate_loadings(p, k, rng)
                 for p, k in zip(config.dims, config.ranks)]
     cores = simulate_core_path(config.T, config.ranks, config.phi, rng)
+    # the signals draw no random numbers, so forming them after the noise
+    # keeps the draw order and lets the noise array become the series
+    series = simulate_noise_path(config.T, config.dims, config.psi, rng)
     modes = list(range(1, len(config.dims) + 1))
     signals = multi_mode_product(cores, loadings, modes=modes)
-    noise = simulate_noise_path(config.T, config.dims, config.psi, rng)
-    series = signals + noise
+    series += signals
     truth = SimTruth(
         loadings=loadings,
         cores=cores,

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from tuckerfactor import noiseless_dataset, read_tensor_series, write_tensor_series
+from tuckerfactor import (
+    baseline,
+    cli,
+    estimate_ranks,
+    estimate_ranks_tipup,
+    estimation,
+    mode_covariance,
+    noiseless_dataset,
+    read_tensor_series,
+    tipup_mode_matrix,
+    top_k_eigensystem,
+    write_tensor_series,
+)
 from tuckerfactor.cli import main
 
 
@@ -39,6 +51,40 @@ class TestRank:
         assert len([line for line in out if line.startswith("mode")]) == 3
         # full eigenvalue table: one value per mode size
         assert len(out[1].split(":")[1].split()) == 10
+
+    @pytest.mark.parametrize("method, module, name", [
+        ("mopca", estimation, "mode_covariance"),
+        ("itipup", baseline, "tipup_mode_matrix"),
+    ])
+    def test_builds_each_spectrum_once(self, noiseless_file, capsys, monkeypatch,
+                                       method, module, name):
+        # expected output: ranks from the library selector, then every
+        # mode's raw spectrum (the fixture's has rounding-level negatives)
+        series = read_tensor_series(noiseless_file)
+        series -= series.mean(axis=0)
+        if method == "itipup":
+            ranks = estimate_ranks_tipup(series)
+            cov = lambda d: tipup_mode_matrix(series, d)  # noqa: E731
+        else:
+            ranks = estimate_ranks(series)
+            cov = lambda d: mode_covariance(series, d)  # noqa: E731
+        lines = [",".join(map(str, ranks))]
+        for d in range(3):
+            values = top_k_eigensystem(cov(d), 10).values
+            lines.append(f"mode {d + 1} eigenvalues: "
+                         + " ".join(f"{v:.6g}" for v in values))
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+        assert main(["rank", noiseless_file, "--method", method]) == 0
+        assert len(calls) == 3
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_kmax_too_large_is_numeric_error(self, noiseless_file, capsys):
         rc = main(["rank", noiseless_file, "--kmax", "50"])
@@ -105,6 +151,16 @@ class TestEstimateAndReconstruct:
         write_tensor_series(other, vec)
         rc = main(["reconstruct", str(other), "--loadings", str(tmp_path / "fit")])
         assert rc == 3
+
+
+    def test_gap_in_loading_files_is_io_error(self, noiseless_file, tmp_path,
+                                              capsys):
+        prefix = str(tmp_path / "fit")
+        assert main(["estimate", noiseless_file, "--ranks", "2,3,4",
+                     "--out", prefix]) == 0
+        (tmp_path / "fit.A2").unlink()
+        assert main(["reconstruct", noiseless_file, "--loadings", prefix]) == 2
+        assert "fit.A2 missing" in capsys.readouterr().err
 
 
 class TestBench:

@@ -26,6 +26,8 @@ from tuckerfactor import (
     unfold,
     varimax,
 )
+from tuckerfactor import estimation
+from tuckerfactor.baseline import itipup_fit
 from tuckerfactor.estimation import _varimax_criterion
 
 
@@ -223,6 +225,41 @@ class TestFactorsAndSignals:
         assert np.array_equal(
             reconstruct_signals(np.zeros((3, 2, 2)), loadings), np.zeros((3, 3, 2))
         )
+
+
+class TestLazySignals:
+    @pytest.mark.parametrize("fit_fn", [mopca_fit, pmopca_fit, ipmopca_fit,
+                                        itipup_fit])
+    def test_signals_built_once_from_factors_and_loadings(self, rng, fit_fn):
+        x = rng.standard_normal((9, 5, 6, 4))
+        fit = fit_fn(x, (2, 2, 2))
+        assert "signals" not in vars(fit)
+        first = fit.signals
+        expected = reconstruct_signals(fit.factors, fit.loadings)
+        assert first.tobytes() == expected.tobytes()
+        assert fit.signals is first
+
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_projected_fits_extract_factors_once(self, rng, monkeypatch, fit_fn):
+        # the mode-wise PCA start supplies loadings only, not factors
+        calls = []
+        original = estimation.extract_factors
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "extract_factors", counted)
+        fit_fn(rng.standard_normal((9, 5, 6, 4)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_default_start_is_mopca_loadings(self, rng, fit_fn):
+        x = rng.standard_normal((9, 5, 6, 4))
+        init = mopca_fit(x, (2, 3, 2)).loadings
+        direct, seeded = fit_fn(x, (2, 3, 2)), fit_fn(x, (2, 3, 2), init=init)
+        for a, b in zip(direct.loadings, seeded.loadings):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPmopca:

@@ -1,9 +1,17 @@
 """Round-trip and corruption tests for the tensor-series file format."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tuckerfactor
 
 from tuckerfactor import (
     BadMagicError,
@@ -121,6 +129,75 @@ class TestCorruption:
         with pytest.raises(FileNotFoundError):
             read_tensor_series(tmp_path / "nope.tnsf")
 
+    def test_huge_declared_size_is_payload_error(self, sample_file):
+        # a flipped high byte of T declares exabytes; the reader must not
+        # try to allocate them
+        path, _ = sample_file
+        raw = bytearray(path.read_bytes())
+        raw[15] ^= 0x40
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PayloadSizeError, match="header declares"):
+            read_tensor_series(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                       max_size=3),
+    )
+    def test_fuzzed_file_raises_only_format_errors(self, tmp_path_factory, shape,
+                                                   seed, cut, flips):
+        # random truncations and byte flips of a valid file either read
+        # back as a series that rewrites to the same bytes, or raise a
+        # TensorSeriesFormatError; never a raw numpy or struct error
+        path = tmp_path_factory.mktemp("fuzz") / "series.tnsf"
+        write_tensor_series(path, np.random.default_rng(seed).standard_normal(shape))
+        raw = bytearray(path.read_bytes())
+        for pos, mask in flips:
+            raw[pos % len(raw)] ^= mask
+        if cut is not None:
+            raw = raw[:cut % len(raw)]
+        path.write_bytes(bytes(raw))
+        try:
+            back = read_tensor_series(path)
+        except TensorSeriesFormatError:
+            return
+        write_tensor_series(path, back)
+        assert path.read_bytes() == bytes(raw)
+
+
+_READ_PEAK_SCRIPT = """
+import sys
+from tuckerfactor import read_tensor_series
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kib()
+series = read_tensor_series(sys.argv[1])
+print((peak_kib() - before) * 1024 / series.nbytes)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs the Linux per-process peak RSS (VmHWM)")
+def test_read_holds_the_series_once(tmp_path):
+    # peak RSS growth of a fresh process reading a 32 MiB file; a reader
+    # that copies the payload once more grows by twice the payload.  The
+    # child's own high-water mark is read because ru_maxrss also carries
+    # the peak of the process that started it.
+    path = tmp_path / "big.tnsf"
+    write_tensor_series(path, np.ones((32, 64, 64, 32)))
+    src = str(Path(tuckerfactor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _READ_PEAK_SCRIPT, str(path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert float(done.stdout) < 1.5
+
 
 class TestLoadings:
     def test_round_trip(self, tmp_path, rng):
@@ -136,3 +213,18 @@ class TestLoadings:
     def test_missing_prefix(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_loadings(tmp_path / "nothing")
+
+    @pytest.mark.parametrize("missing", [1, 2])
+    def test_gap_in_numbering_is_format_error(self, tmp_path, rng, missing):
+        prefix = tmp_path / "fit"
+        write_loadings(prefix, [rng.standard_normal((4, 2)) for _ in range(3)])
+        os.remove(f"{prefix}.A{missing}")
+        with pytest.raises(TensorSeriesFormatError, match=rf"fit\.A{missing} missing"):
+            read_loadings(prefix)
+
+    def test_unnumbered_siblings_are_ignored(self, tmp_path, rng):
+        prefix = tmp_path / "fit"
+        write_loadings(prefix, [rng.standard_normal((4, 2)) for _ in range(2)])
+        (tmp_path / "fit.A3.bak").write_bytes(b"")
+        (tmp_path / "fit.Ax").write_bytes(b"")
+        assert len(read_loadings(prefix)) == 2

@@ -15,6 +15,8 @@ from tuckerfactor import (
     simulate_noise_path,
     vectorize,
 )
+from tuckerfactor.simulation import _equicorrelation_cholesky
+from tuckerfactor.tensor import mode_product
 
 
 def lag_one_autocorr(path):
@@ -96,7 +98,43 @@ class TestNoisePath:
         assert abs(var.mean() - 1.0) < 0.1
 
 
+    def test_in_place_recursion_matches_reference_loop(self):
+        # the recursion runs in place on the innovations; it must give the
+        # bits of the plain out-of-place loop
+        dims, psi = (4, 3, 5), 0.8
+        got = simulate_noise_path(7, dims, psi, replication_rng(17, 2))
+        rng = replication_rng(17, 2)
+
+        def innovation(n):
+            z = rng.standard_normal((n,) + dims)
+            for d, p in enumerate(dims):
+                z = mode_product(z, _equicorrelation_cholesky(p), d + 1)
+            return z
+
+        scale = np.sqrt(1.0 - psi * psi)
+        state = innovation(1)[0]
+        innov = innovation(7)
+        expected = np.empty_like(innov)
+        for t in range(7):
+            state = psi * state + scale * innov[t]
+            expected[t] = state
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestSimulateDataset:
+    def test_series_is_signals_plus_noise_in_draw_order(self):
+        # loadings, then cores, then noise come off one stream
+        config = scenario_config("IV", T=6, dims=(5, 4, 3), ranks=(2, 2, 1), seed=8)
+        series, truth = simulate_dataset(config, replication=1)
+        rng = replication_rng(8, 1)
+        loadings = [generate_loadings(p, k, rng) for p, k in zip((5, 4, 3), (2, 2, 1))]
+        cores = simulate_core_path(6, (2, 2, 1), 0.6, rng)
+        noise = simulate_noise_path(6, (5, 4, 3), 0.8, rng)
+        for a, b in zip(loadings, truth.loadings):
+            assert a.tobytes() == b.tobytes()
+        assert cores.tobytes() == truth.cores.tobytes()
+        assert series.tobytes() == (truth.signals + noise).tobytes()
+
     def test_shapes_and_bookkeeping(self):
         config = SimConfig(T=12, dims=(5, 6, 4), ranks=(2, 2, 2), phi=0.6,
                            psi=0.8, seed=21)

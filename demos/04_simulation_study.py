@@ -21,7 +21,8 @@ from tuckerfactor import (
 
 def main(reps=5, seed=29, out_dir=None):
     if out_dir is None:
-        out_dir = tempfile.mkdtemp(prefix="study_")
+        with tempfile.TemporaryDirectory(prefix="study_") as tmp:
+            return main(reps, seed, tmp)
     print("=" * 70)
     print(f"Replication study, scenario I, {reps} replications per size")
     print("=" * 70)

@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import logging
+import os
 import sys
 import time
 
@@ -35,13 +38,16 @@ from .experiment import (
 )
 from .io import (
     TensorSeriesFormatError,
+    _header,
+    _write_payload,
     read_loadings,
     read_tensor_series,
     write_loadings,
     write_tensor_series,
 )
-from .metrics import reconstruction_error
+from .metrics import _reconstruction_sums, _relative_error
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
+from .tensor import _chunks
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -67,6 +73,16 @@ def _parse_dims(text):
     return values
 
 
+def _lag_count(text):
+    try:
+        lags = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if lags < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {lags}")
+    return lags
+
+
 def _parse_ranks_arg(text):
     text = text.strip()
     if text == "auto":
@@ -87,7 +103,7 @@ def _add_estimator_flags(p):
                    help="skip subtracting the temporal mean tensor")
     p.add_argument("--no-update-within-sweep", action="store_true",
                    help="freeze projections within each refinement sweep")
-    p.add_argument("--lags", type=int, default=1,
+    p.add_argument("--lags", type=_lag_count, default=1,
                    help="auto-covariance lag count for itipup")
 
 
@@ -120,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("data")
     p_rank.add_argument("--kmax", type=int, default=None)
     p_rank.add_argument("--method", default="mopca", choices=["mopca", "itipup"])
-    p_rank.add_argument("--lags", type=int, default=1)
+    p_rank.add_argument("--lags", type=_lag_count, default=1)
     p_rank.add_argument("--no-center", action="store_true")
 
     p_rec = sub.add_parser("reconstruct", help="apply saved loadings")
@@ -144,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tol", type=float, default=None)
     p_bench.add_argument("--max-iter", type=int, default=None)
     p_bench.add_argument("--ranks", default=None)
-    p_bench.add_argument("--lags", type=int, default=None)
+    p_bench.add_argument("--lags", type=_lag_count, default=None)
     p_bench.add_argument("--no-center", action="store_true")
     p_bench.add_argument("--no-update-within-sweep", action="store_true")
     p_bench.add_argument("--varimax", action="store_true")
@@ -190,6 +206,10 @@ def _cmd_estimate(args) -> int:
     series = read_tensor_series(args.data)
     cfg = _estimator_config_from_args(args)
     start = time.perf_counter()
+    # centre the series read in place: the fit then holds no centred copy
+    if cfg.center:
+        series -= series.mean(axis=0)
+        cfg = dataclasses.replace(cfg, center=False)
     fit = _fit_method(args.method, series, cfg)
     seconds = time.perf_counter() - start
     loadings = fit.loadings
@@ -230,18 +250,30 @@ def _cmd_reconstruct(args) -> int:
         )
     center = not args.no_center
     mean = series.mean(axis=0) if center else None
-    centered = series - mean if center else series
-    factors = extract_factors(centered, loadings)
-    # release the centred copy unless it is the RE reference
-    if args.centered_output:
-        series = centered
-    del centered
-    signals = reconstruct_signals(factors, loadings)
-    if mean is not None and not args.centered_output:
-        signals += mean
-    re_val = reconstruction_error(series, signals)
-    if args.out is not None:
-        write_tensor_series(args.out, signals)
+    sums = (0.0, 0.0)
+    out = open(args.out, "wb") if args.out is not None else contextlib.nullcontext()
+    # one pass over chunks of whole tensors: no full-size copy besides the
+    # series, and the bits of the whole-array computation
+    try:
+        with out:
+            if args.out is not None:
+                out.write(_header(series.shape))
+            for s in _chunks(series.shape):
+                x = series[s]
+                xc = x - mean if center else x
+                signals = reconstruct_signals(extract_factors(xc, loadings), loadings)
+                if args.centered_output:
+                    x = xc
+                elif center:
+                    signals += mean
+                sums = _reconstruction_sums(x, signals, *sums)
+                if args.out is not None:
+                    _write_payload(out, signals)
+            re_val = _relative_error(*sums)
+    except Exception:
+        if args.out is not None:
+            os.remove(args.out)  # a failed run leaves no partial output
+        raise
     print(f"RE: {re_val:.6f}")
     return 0
 

@@ -106,6 +106,8 @@ class EstimatorConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.lags < 1:
+            raise ValueError("lags must be at least 1")
 
 
 def _as_series(x) -> np.ndarray:

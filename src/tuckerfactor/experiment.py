@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -270,33 +270,24 @@ def _parse_ranks(text):
 
 
 def _estimator_from_section(section, base: EstimatorConfig, method: str):
-    cfg = EstimatorConfig(
-        method=method,
-        ranks=base.ranks,
-        k_max=base.k_max,
-        tol=base.tol,
-        max_iter=base.max_iter,
-        update_within_sweep=base.update_within_sweep,
-        center=base.center,
-        lags=base.lags,
-    )
-    if section is None:
-        return cfg
-    if "ranks" in section:
-        cfg.ranks = _parse_ranks(section["ranks"])
-    if "kmax" in section:
-        cfg.k_max = section.getint("kmax")
-    if "tol" in section:
-        cfg.tol = section.getfloat("tol")
-    if "max_iter" in section:
-        cfg.max_iter = section.getint("max_iter")
-    if "update_within_sweep" in section:
-        cfg.update_within_sweep = section.getboolean("update_within_sweep")
-    if "center" in section:
-        cfg.center = section.getboolean("center")
-    if "lags" in section:
-        cfg.lags = section.getint("lags")
-    return cfg
+    # one replace call, so the section's values are validated like any config
+    fields = {}
+    if section is not None:
+        if "ranks" in section:
+            fields["ranks"] = _parse_ranks(section["ranks"])
+        if "kmax" in section:
+            fields["k_max"] = section.getint("kmax")
+        if "tol" in section:
+            fields["tol"] = section.getfloat("tol")
+        if "max_iter" in section:
+            fields["max_iter"] = section.getint("max_iter")
+        if "update_within_sweep" in section:
+            fields["update_within_sweep"] = section.getboolean("update_within_sweep")
+        if "center" in section:
+            fields["center"] = section.getboolean("center")
+        if "lags" in section:
+            fields["lags"] = section.getint("lags")
+    return replace(base, method=method, **fields)
 
 
 def parse_experiment_config(path) -> ExperimentConfig:

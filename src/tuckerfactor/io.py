@@ -15,7 +15,9 @@ Loading matrices are stored in the same container as 2-way tensors with
 T = 1, one file per mode with suffixes ``.A1``, ``.A2``, ...
 
 The reader streams the payload one tensor at a time into the array it
-returns, so it holds the series once.
+returns, so it holds the series once.  The writer also goes one tensor at
+a time; its header and payload steps are separate, so the CLI can write a
+series chunk by chunk as it computes it.
 """
 
 from __future__ import annotations
@@ -52,25 +54,38 @@ def write_tensor_series(path, series) -> None:
     """Write a series of equal-shape tensors to ``path``.
 
     ``series`` is an array of shape ``(T, p_1, ..., p_D)`` (or a list of
-    T equal-shape tensors).  Values are stored as little-endian f64; the
-    round trip through :func:`read_tensor_series` is bit-exact.
+    T equal-shape tensors) with no zero-size axis.  Values are stored as
+    little-endian f64; the round trip through :func:`read_tensor_series`
+    is bit-exact.
     """
     arr = np.asarray(series, dtype=float)
-    if arr.ndim < 2:
-        raise ValueError("series must have shape (T, p_1, ..., p_D)")
-    t_len = arr.shape[0]
-    dims = arr.shape[1:]
-    d_count = len(dims)
-    if t_len < 1:
-        raise ValueError("series is empty")
-    if d_count > 255:
-        raise ValueError("at most 255 modes supported")
-    header = MAGIC + bytes([VERSION, d_count, 0, 0]) + struct.pack("<Q", t_len)
-    header += struct.pack(f"<{d_count}Q", *dims)
+    header = _header(arr.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        for t in range(t_len):
-            fh.write(arr[t].ravel(order="F").astype("<f8", copy=False).tobytes())
+        _write_payload(fh, arr)
+
+
+def _header(shape) -> bytes:
+    """Header bytes for a series of ``shape``, refusing any shape that
+    :func:`read_tensor_series` would reject."""
+    if len(shape) < 2:
+        raise ValueError("series must have shape (T, p_1, ..., p_D)")
+    t_len, dims = shape[0], shape[1:]
+    if t_len < 1:
+        raise ValueError("series is empty")
+    if any(p < 1 for p in dims):
+        raise ValueError(f"zero-size mode in series shape {tuple(shape)}")
+    if len(dims) > 255:
+        raise ValueError("at most 255 modes supported")
+    header = MAGIC + bytes([VERSION, len(dims), 0, 0]) + struct.pack("<Q", t_len)
+    return header + struct.pack(f"<{len(dims)}Q", *dims)
+
+
+def _write_payload(fh, arr) -> None:
+    """Append the tensors of ``arr`` to an open file, one at a time, so
+    consecutive chunks of a series write the bytes of the whole series."""
+    for t in range(arr.shape[0]):
+        fh.write(arr[t].ravel(order="F").astype("<f8", copy=False).tobytes())
 
 
 def read_tensor_series(path) -> np.ndarray:

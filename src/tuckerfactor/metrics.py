@@ -29,12 +29,12 @@ def column_space_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
 
 
 def signal_rmse(s_hat: np.ndarray, s_true: np.ndarray) -> float:
-    """Root mean square error over all T*p signal entries."""
-    s_hat = np.asarray(s_hat, dtype=float)
-    s_true = np.asarray(s_true, dtype=float)
-    if s_hat.shape != s_true.shape:
-        raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
-    return float(np.sqrt(np.mean((s_hat - s_true) ** 2)))
+    """Root mean square error over all T*p signal entries.
+
+    Accumulated one tensor at a time, with no full-size temporary.
+    """
+    num, _ = _reconstruction_sums(s_true, s_hat)
+    return float(np.sqrt(num / np.size(s_true)))
 
 
 def rank_accuracy(k_hat, k_true) -> float:
@@ -53,15 +53,29 @@ def reconstruction_error(series: np.ndarray, signals: np.ndarray) -> float:
     Computed as ``sqrt(sum_t ||S_t - X_t||_F^2) / sqrt(sum_t ||X_t||_F^2)``
     without materializing the stacked tensor.
     """
+    return _relative_error(*_reconstruction_sums(series, signals))
+
+
+def _reconstruction_sums(series, signals, num=0.0, den=0.0):
+    """Running sums ``num + sum_t ||S_t - X_t||_F^2`` and
+    ``den + sum_t ||X_t||_F^2``, added one tensor at a time in order.
+
+    Feeding consecutive chunks of a series, each starting from the sums
+    of the chunks before it, gives the bits of one whole-series call.
+    """
     series = np.asarray(series, dtype=float)
     signals = np.asarray(signals, dtype=float)
     if series.shape != signals.shape:
         raise ValueError(f"shape mismatch: {series.shape} vs {signals.shape}")
-    num = den = 0.0
     for s_t, x_t in zip(np.atleast_1d(signals), np.atleast_1d(series)):
         r_t, x_t = (s_t - x_t).ravel(), x_t.ravel()
         num += r_t @ r_t
         den += x_t @ x_t
+    return num, den
+
+
+def _relative_error(num, den) -> float:
+    """``sqrt(num) / sqrt(den)`` from :func:`_reconstruction_sums`."""
     if den == 0:
         raise ValueError("reconstruction_error: data has zero norm")
     return float(np.sqrt(num) / np.sqrt(den))

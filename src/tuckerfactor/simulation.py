@@ -11,16 +11,23 @@ Reproducibility: streams come from numpy's PCG64 generator seeded through
 deterministic function of ``(seed, r)`` and independent of how many other
 replications run.  Within one dataset the draw order is fixed: loadings
 mode by mode, then the core path, then the noise path.
+
+Memory: the noise path is drawn in one call and coloured in place, and
+the signals are added to it in place, both over chunks of whole tensors,
+so a dataset holds its series once plus a few chunk-sized temporaries.
+``SimTruth.signals`` is built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .estimation import reconstruct_signals
 from .spectral import thin_left_singular
-from .tensor import mode_product, multi_mode_product
+from .tensor import _chunks, mode_product
 
 # (phi, psi) per scenario: factor / noise AR(1) coefficients
 SCENARIOS = {
@@ -69,15 +76,22 @@ class SimConfig:
 
 @dataclass
 class SimTruth:
-    """Ground truth emitted alongside a simulated dataset."""
+    """Ground truth emitted alongside a simulated dataset.
+
+    ``signals``, the noise-free series ``F_t x_1 A_1 ... x_D A_D``, is
+    computed from the cores and loadings on first access and kept.
+    """
 
     loadings: list[np.ndarray]
     cores: np.ndarray
-    signals: np.ndarray
     phi: float
     psi: float
     seed: int
     replication: int = 0
+
+    @cached_property
+    def signals(self) -> np.ndarray:
+        return reconstruct_signals(self.cores, self.loadings)
 
 
 def scenario_config(name: str, T: int, dims, ranks=DEFAULT_RANKS,
@@ -148,8 +162,11 @@ def simulate_noise_path(T: int, dims, psi: float,
 
     def innovation(n):
         z = rng.standard_normal((n,) + dims)
-        for d, l in enumerate(chol):
-            z = mode_product(z, l, d + 1)
+        for s in _chunks(z.shape):
+            c = z[s]
+            for d, l in enumerate(chol):
+                c = mode_product(c, l, d + 1)
+            z[s] = c
         return z
 
     scale = np.sqrt(1.0 - psi * psi)
@@ -177,13 +194,11 @@ def simulate_dataset(config: SimConfig, replication: int = 0):
     # the signals draw no random numbers, so forming them after the noise
     # keeps the draw order and lets the noise array become the series
     series = simulate_noise_path(config.T, config.dims, config.psi, rng)
-    modes = list(range(1, len(config.dims) + 1))
-    signals = multi_mode_product(cores, loadings, modes=modes)
-    series += signals
+    for s in _chunks(series.shape):
+        series[s] += reconstruct_signals(cores[s], loadings)
     truth = SimTruth(
         loadings=loadings,
         cores=cores,
-        signals=signals,
         phi=config.phi,
         psi=config.psi,
         seed=config.seed,
@@ -196,15 +211,13 @@ def noiseless_dataset(T: int, dims, ranks, seed: int = 0, phi: float = 0.0):
     """Noise-free fixture: signal tensors only, with their truth.
 
     Useful for exact-recovery checks; built from the same loading and
-    core-path generators as :func:`simulate_dataset`.
+    core-path generators as :func:`simulate_dataset`.  The returned series
+    is ``truth.signals`` itself, not a copy.
     """
     rng = replication_rng(seed, 0)
     dims = tuple(int(p) for p in dims)
     ranks = tuple(int(k) for k in ranks)
     loadings = [generate_loadings(p, k, rng) for p, k in zip(dims, ranks)]
     cores = simulate_core_path(T, ranks, phi, rng)
-    modes = list(range(1, len(dims) + 1))
-    signals = multi_mode_product(cores, loadings, modes=modes)
-    truth = SimTruth(loadings=loadings, cores=cores, signals=signals,
-                     phi=phi, psi=0.0, seed=seed)
-    return signals.copy(), truth
+    truth = SimTruth(loadings=loadings, cores=cores, phi=phi, psi=0.0, seed=seed)
+    return truth.signals, truth

@@ -27,6 +27,11 @@ import numpy as np
 # one batched matmul builds before it is summed; bounds that temporary
 _BATCH_ELEMS = 1 << 16
 
+# elements in one chunk of whole tensors that a series is transformed in
+# (simulator assembly, CLI reconstruction); bounds the temporaries to a
+# few chunks, and a small series stays one chunk with no per-tensor loop
+_CHUNK_ELEMS = 1 << 18
+
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
     if not 0 <= mode < x.ndim:
@@ -96,6 +101,17 @@ def mode_product(x: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
 def _split(shape, axis):
     """Sizes ``(A, p_d, B)`` of the axes before, at and after ``axis``."""
     return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+
+
+def _chunks(shape) -> list[slice]:
+    """Slices of the leading axis of ``shape``, each spanning whole tensors
+    of at most ``_CHUNK_ELEMS`` elements (one tensor when a tensor is larger).
+
+    A mode product of a chunk gives the bits of the same rows of the whole
+    array's mode product, so a chunked pass matches a whole-array one.
+    """
+    step = max(1, _CHUNK_ELEMS // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:

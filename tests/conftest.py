@@ -1,8 +1,14 @@
 """Shared fixtures and small construction helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tuckerfactor
 from tuckerfactor import generate_loadings, multi_mode_product
 
 
@@ -28,3 +34,30 @@ def random_orthogonal(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)
+
+
+needs_vmhwm = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="needs the Linux per-process peak RSS (VmHWM)")
+
+_PEAK_PRELUDE = """
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+
+def run_peak_script(script, *args) -> str:
+    """Run ``script`` in a fresh interpreter and return its stdout.
+
+    The script sees ``peak_kib()``, the process's peak RSS in KiB so far,
+    and imports tuckerfactor from this checkout.  A fresh process is used
+    because ``ru_maxrss`` also carries the peak of the process that
+    started it.
+    """
+    src = str(Path(tuckerfactor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _PEAK_PRELUDE + script, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout

@@ -3,20 +3,31 @@
 import numpy as np
 import pytest
 
+from conftest import make_orthonormal_loadings, needs_vmhwm, run_peak_script
 from tuckerfactor import (
+    EstimatorConfig,
     baseline,
     cli,
     estimate_ranks,
     estimate_ranks_tipup,
     estimation,
+    extract_factors,
     mode_covariance,
     noiseless_dataset,
+    read_loadings,
     read_tensor_series,
+    reconstruct_signals,
+    reconstruction_error,
+    scenario_config,
+    simulate_dataset,
+    tensor,
     tipup_mode_matrix,
     top_k_eigensystem,
+    write_loadings,
     write_tensor_series,
 )
 from tuckerfactor.cli import main
+from tuckerfactor.experiment import _fit_method
 
 
 @pytest.fixture
@@ -163,6 +174,102 @@ class TestEstimateAndReconstruct:
         assert "fit.A2 missing" in capsys.readouterr().err
 
 
+class TestOneCopyPipeline:
+    """``estimate`` centres the series it read in place and ``reconstruct``
+    streams over chunks of whole tensors; both keep the bits of the
+    whole-array computation."""
+
+    T, DIMS = 11, (6, 5, 4)
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        config = scenario_config("IV", self.T, self.DIMS, ranks=(2, 2, 2), seed=12)
+        series, _ = simulate_dataset(config)
+        path = tmp_path / "data.tnsf"
+        write_tensor_series(path, series)
+        return str(path), series
+
+    @pytest.mark.parametrize("method", ["mopca", "ipmopca", "itipup"])
+    def test_estimate_matches_a_centring_fit(self, data, tmp_path, method):
+        path, series = data
+        assert main(["estimate", path, "--method", method,
+                     "--out", str(tmp_path / "cli")]) == 0
+        fit = _fit_method(method, series, EstimatorConfig(method=method, center=True))
+        write_loadings(tmp_path / "ref", fit.loadings)
+        write_tensor_series(tmp_path / "ref.cores", fit.factors)
+        for suffix in ("A1", "A2", "A3", "cores"):
+            assert ((tmp_path / f"cli.{suffix}").read_bytes()
+                    == (tmp_path / f"ref.{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("flags", [[], ["--centered-output"], ["--no-center"]])
+    def test_reconstruct_matches_whole_array(self, data, tmp_path, capsys,
+                                             monkeypatch, flags):
+        path, series = data
+        prefix = str(tmp_path / "fit")
+        assert main(["estimate", path, "--ranks", "2,2,2", "--out", prefix]) == 0
+        # three tensors per chunk: T=11 spans four chunks, the last ragged
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 3 * int(np.prod(self.DIMS)))
+        capsys.readouterr()
+        out = tmp_path / "rec.tnsf"
+        assert main(["reconstruct", path, "--loadings", prefix,
+                     "--out", str(out)] + flags) == 0
+
+        loadings = read_loadings(prefix)
+        center = "--no-center" not in flags
+        mean = series.mean(axis=0)
+        x = series - mean if center else series
+        signals = reconstruct_signals(extract_factors(x, loadings), loadings)
+        reference = series
+        if "--centered-output" in flags:
+            reference = x
+        elif center:
+            signals += mean
+        write_tensor_series(tmp_path / "ref.tnsf", signals)
+        assert capsys.readouterr().out == (
+            f"RE: {reconstruction_error(reference, signals):.6f}\n")
+        assert out.read_bytes() == (tmp_path / "ref.tnsf").read_bytes()
+
+    def test_failed_reconstruct_leaves_no_output(self, data, tmp_path):
+        # loadings with the wrong row counts fail inside the chunk pass,
+        # after the output file was opened
+        path, _ = data
+        prefix = tmp_path / "wrong"
+        write_loadings(prefix, make_orthonormal_loadings(
+            np.random.default_rng(0), (7, 5, 4), (2, 2, 2)))
+        out = tmp_path / "rec.tnsf"
+        assert main(["reconstruct", path, "--loadings", str(prefix),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+
+_RECONSTRUCT_PEAK_SCRIPT = """
+import os, sys
+from tuckerfactor import cli
+
+before = peak_kib()
+code = cli.main(["reconstruct", sys.argv[1], "--loadings", sys.argv[2],
+                 "--out", sys.argv[3]])
+payload = os.path.getsize(sys.argv[1]) - 16 - 8 * 3
+print(code, (peak_kib() - before) * 1024 / payload)
+"""
+
+
+@needs_vmhwm
+def test_reconstruct_holds_the_series_once(tmp_path):
+    # peak RSS growth of a fresh process reconstructing a 32 MiB file; a
+    # full-size centred copy or signals array grows it by twice the payload
+    rng = np.random.default_rng(3)
+    dims = (64, 64, 32)
+    path = tmp_path / "big.tnsf"
+    write_tensor_series(path, rng.standard_normal((32,) + dims))
+    write_loadings(tmp_path / "fit", make_orthonormal_loadings(rng, dims, (2, 3, 4)))
+    out = run_peak_script(_RECONSTRUCT_PEAK_SCRIPT, path, tmp_path / "fit",
+                          tmp_path / "rec.tnsf")
+    code, growth = out.split()[-2:]  # after the RE line
+    assert code == "0"
+    assert float(growth) < 1.5
+
+
 class TestBench:
     def test_scenario_four_all_methods_finite(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
@@ -242,6 +349,15 @@ class TestExitCodes:
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         assert main(["rank", str(path)]) == 2
         assert "file format error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "data.tnsf", "--out", "x", "--method", "itipup", "--lags", "0"],
+        ["rank", "data.tnsf", "--method", "itipup", "--lags", "0"],
+        ["bench", "bench.cfg", "--lags", "-1"],
+    ])
+    def test_lags_below_one_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "--lags" in capsys.readouterr().err
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

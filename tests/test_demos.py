@@ -29,3 +29,5 @@ def test_demo_runs(name, tmp_path):
     done = subprocess.run([sys.executable, str(DEMOS / name)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    # temporary work directories are removed again
+    assert not any(tmp_path.iterdir())

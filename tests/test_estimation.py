@@ -459,3 +459,8 @@ class TestEstimatorConfig:
             EstimatorConfig(tol=0.0)
         with pytest.raises(ValueError):
             EstimatorConfig(max_iter=0)
+
+    @pytest.mark.parametrize("lags", [0, -1])
+    def test_lags_below_one_rejected(self, lags):
+        with pytest.raises(ValueError, match="lags"):
+            EstimatorConfig(method="itipup", lags=lags)

@@ -175,6 +175,16 @@ ranks = 2,2,2
         assert override.lags == 2 and override.ranks == (2, 2, 2)
         assert override.tol == 1e-5  # inherited from [estimator]
 
+    @pytest.mark.parametrize("section", ["estimator", "estimator.itipup"])
+    @pytest.mark.parametrize("line", ["lags = 0", "tol = 0", "max_iter = 0"])
+    def test_invalid_estimator_values_rejected(self, tmp_path, section, line):
+        # a method's own section is validated like the shared one
+        path = tmp_path / "bad.cfg"
+        path.write_text("[experiment]\nmethods = itipup\n[simulation]\nT = 5\n"
+                        f"dims = 4, 4\nranks = 2, 2\n[{section}]\n{line}\n")
+        with pytest.raises(ValueError, match=line.split()[0]):
+            parse_experiment_config(path)
+
     def test_missing_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[other]\nx = 1\n")

@@ -2,17 +2,13 @@
 
 import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tuckerfactor
-
+from conftest import needs_vmhwm, run_peak_script
 from tuckerfactor import (
     BadMagicError,
     PayloadSizeError,
@@ -57,6 +53,20 @@ class TestRoundTrip:
         data = np.array([[np.finfo(float).max, np.finfo(float).tiny,
                           -np.finfo(float).eps, 0.0]])
         write_tensor_series(path, data)
+        assert np.array_equal(read_tensor_series(path), data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.lists(st.integers(0, 3), min_size=0, max_size=4))
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path_factory, shape):
+        # a write either raises ValueError and leaves no file, or makes a
+        # file that reads back bit-exactly; e.g. a zero-size mode (3, 0, 2)
+        path = tmp_path_factory.mktemp("rt") / "series.tnsf"
+        data = np.arange(float(np.prod(shape))).reshape(shape)
+        try:
+            write_tensor_series(path, data)
+        except ValueError:
+            assert not path.exists()
+            return
         assert np.array_equal(read_tensor_series(path), data)
 
     def test_payload_layout_first_index_fastest(self, tmp_path):
@@ -172,31 +182,19 @@ _READ_PEAK_SCRIPT = """
 import sys
 from tuckerfactor import read_tensor_series
 
-def peak_kib():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
 before = peak_kib()
 series = read_tensor_series(sys.argv[1])
 print((peak_kib() - before) * 1024 / series.nbytes)
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs the Linux per-process peak RSS (VmHWM)")
+@needs_vmhwm
 def test_read_holds_the_series_once(tmp_path):
     # peak RSS growth of a fresh process reading a 32 MiB file; a reader
-    # that copies the payload once more grows by twice the payload.  The
-    # child's own high-water mark is read because ru_maxrss also carries
-    # the peak of the process that started it.
+    # that copies the payload once more grows by twice the payload
     path = tmp_path / "big.tnsf"
     write_tensor_series(path, np.ones((32, 64, 64, 32)))
-    src = str(Path(tuckerfactor.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _READ_PEAK_SCRIPT, str(path)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert float(done.stdout) < 1.5
+    assert float(run_peak_script(_READ_PEAK_SCRIPT, path)) < 1.5
 
 
 class TestLoadings:

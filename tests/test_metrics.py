@@ -71,6 +71,13 @@ class TestSignalRmse:
         with pytest.raises(ValueError):
             signal_rmse(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 5, 3)])
+    def test_matches_whole_array_formula(self, rng, shape):
+        # accumulated per tensor; the whole-array formula is the reference
+        s_hat, s_true = rng.standard_normal(shape), rng.standard_normal(shape)
+        reference = np.sqrt(np.mean((s_hat - s_true) ** 2))
+        assert signal_rmse(s_hat, s_true) == pytest.approx(reference, rel=1e-12)
+
 
 class TestRankAccuracy:
     def test_cases(self):

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from conftest import needs_vmhwm, run_peak_script
 from tuckerfactor import (
     SimConfig,
     generate_loadings,
     kronecker,
+    multi_mode_product,
     noiseless_dataset,
     replication_rng,
     scenario_config,
     simulate_core_path,
     simulate_dataset,
     simulate_noise_path,
+    tensor,
     vectorize,
 )
 from tuckerfactor.simulation import _equicorrelation_cholesky
@@ -182,3 +185,70 @@ class TestSimulateDataset:
     def test_noiseless_fixture(self):
         series, truth = noiseless_dataset(T=5, dims=(6, 7), ranks=(2, 2), seed=9)
         assert np.array_equal(series, truth.signals)
+
+
+def whole_array_dataset(config, replication):
+    """Reference for :func:`simulate_dataset` with every step on the whole
+    array: all T innovations coloured at once, the signals formed at once."""
+    rng = replication_rng(config.seed, replication)
+    loadings = [generate_loadings(p, k, rng) for p, k in zip(config.dims, config.ranks)]
+    cores = simulate_core_path(config.T, config.ranks, config.phi, rng)
+
+    def innovation(n):
+        z = rng.standard_normal((n,) + config.dims)
+        for d, p in enumerate(config.dims):
+            z = mode_product(z, _equicorrelation_cholesky(p), d + 1)
+        return z
+
+    scale = np.sqrt(1.0 - config.psi * config.psi)
+    state = innovation(1)[0]
+    innov = innovation(config.T)
+    noise = np.empty_like(innov)
+    for t in range(config.T):
+        state = config.psi * state + scale * innov[t]
+        noise[t] = state
+    signals = multi_mode_product(cores, loadings, modes=range(1, cores.ndim))
+    return noise + signals, signals
+
+
+class TestChunkedAssembly:
+    @pytest.mark.parametrize("name, dims", [
+        ("IV", (5, 4, 3)), ("II", (4, 3, 5, 2)), ("III", (6, 7, 2)),
+    ])
+    @pytest.mark.parametrize("per_chunk", [1, 3, None])
+    def test_matches_whole_array_reference(self, monkeypatch, name, dims, per_chunk):
+        # chunks of 1 or 3 whole tensors make T=11 span several chunks with
+        # a ragged last one; None keeps the default budget (one chunk)
+        if per_chunk is not None:
+            monkeypatch.setattr(tensor, "_CHUNK_ELEMS", per_chunk * int(np.prod(dims)))
+        config = scenario_config(name, T=11, dims=dims, ranks=(2,) * len(dims), seed=6)
+        series, truth = simulate_dataset(config, replication=2)
+        ref_series, ref_signals = whole_array_dataset(config, 2)
+        assert series.tobytes() == ref_series.tobytes()
+        assert truth.signals.tobytes() == ref_signals.tobytes()
+
+    def test_truth_signals_built_on_first_access(self):
+        config = scenario_config("II", T=5, dims=(4, 3, 2), ranks=(2, 2, 1), seed=4)
+        series, truth = simulate_dataset(config)
+        assert "signals" not in vars(truth)
+        signals = truth.signals
+        assert truth.signals is signals
+        assert signals.shape == series.shape
+
+
+_SIMULATE_PEAK_SCRIPT = """
+from tuckerfactor import scenario_config, simulate_dataset
+
+simulate_dataset(scenario_config("IV", 2, (8, 8, 8)))
+before = peak_kib()
+series, _ = simulate_dataset(scenario_config("IV", 32, (64, 64, 32)))
+print((peak_kib() - before) * 1024 / series.nbytes)
+"""
+
+
+@needs_vmhwm
+def test_simulate_holds_the_series_once():
+    # peak RSS growth of a fresh process simulating a 32 MiB series; a
+    # simulator holding a second full-size array (innovations plus their
+    # coloured copy, or series plus signals) grows by about twice that
+    assert float(run_peak_script(_SIMULATE_PEAK_SCRIPT)) < 1.5

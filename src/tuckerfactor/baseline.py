@@ -19,13 +19,12 @@ from .estimation import (
     DEFAULT_TOL,
     FactorFit,
     _as_series,
-    _center,
     _loadings_from_covariances,
     extract_factors,
     iterate_projected_fit,
     projected_series,
 )
-from .tensor import _mode_gram
+from .tensor import _mode_gram, _mode_grams
 
 
 def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
@@ -39,37 +38,56 @@ def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
     d_count = x.ndim - 1
     if not 0 <= mode < d_count:
         raise ValueError(f"mode {mode} out of range for {d_count}-way data")
-    t_len = x.shape[0]
-    if not 1 <= h0 < t_len:
+    _check_lags(x, h0)
+    return _lag_sum(x, mode + 1, h0, math.prod(x.shape[1:]))
+
+
+def _check_lags(x, h0):
+    if not 1 <= h0 < x.shape[0]:
         raise ValueError(f"h0={h0} requires at least {h0 + 1} observations")
+
+
+def _lag_sum(x, axis, h0, scale, grams=None):
+    """Symmetrized ``sum_{h=1..h0} W(h) W(h)'`` with ``W(h)`` the lag-h
+    Gram matrix ``_mode_gram(x[:-h], x[h:], axis)``, or ``grams[h - 1]``
+    when given, over ``(T - h) scale``."""
+    p_d = x.shape[axis]
+    out = np.zeros((p_d, p_d))
+    for h in range(1, h0 + 1):
+        g = _mode_gram(x[:-h], x[h:], axis) if grams is None else grams[h - 1]
+        w = g / ((x.shape[0] - h) * scale)
+        out += w @ w.T
+    return (out + out.T) / 2.0
+
+
+def _tipup_matrices(x, mean, h0):
+    """Every mode's :func:`tipup_mode_matrix` of ``x - mean`` (of ``x`` when
+    ``mean`` is None), from one pass of ``tensor._mode_grams``."""
+    _check_lags(x, h0)
+    by_lag = _mode_grams(x, mean, range(1, h0 + 1))
     p = math.prod(x.shape[1:])
-    p_d = x.shape[mode + 1]
-    out = np.zeros((p_d, p_d))
-    for h in range(1, h0 + 1):
-        w = _mode_gram(x[:-h], x[h:], mode + 1) / ((t_len - h) * p)
-        out += w @ w.T
-    return (out + out.T) / 2.0
+    return [_lag_sum(x, d + 1, h0, p, grams)
+            for d, grams in enumerate(zip(*by_lag))]
 
 
-def _projected_tipup_matrix(x, loadings, mode, h0):
+def _tipup_loadings(x, mean, ranks, k_max, h0):
+    return _loadings_from_covariances(
+        x.shape[1:], ranks, k_max, lambda: _tipup_matrices(x, mean, h0)
+    )
+
+
+def _projected_tipup_matrix(x, loadings, mode, h0, center):
     """Lagged analogue of the projected mode covariance."""
-    y = projected_series(x, loadings, mode)
-    t_len, p_d = y.shape[0], y.shape[1]
-    out = np.zeros((p_d, p_d))
-    for h in range(1, h0 + 1):
-        w = _mode_gram(y[:-h], y[h:], 1) / ((t_len - h) * p_d)
-        out += w @ w.T
-    return (out + out.T) / 2.0
+    y = projected_series(x, loadings, mode, center)
+    return _lag_sum(y, 1, h0, y.shape[1])
 
 
 def estimate_ranks_tipup(x: np.ndarray, k_max: int | None = None, h0: int = 1,
                          center: bool = False) -> tuple[int, ...]:
     """Eigenvalue-ratio rank selection on the lagged auto-covariance matrices."""
     x = _as_series(x)
-    x, _ = _center(x, center)
-    fitted, _ = _loadings_from_covariances(
-        x.shape[1:], "auto", k_max, lambda d: tipup_mode_matrix(x, d, h0)
-    )
+    mean = x.mean(axis=0) if center else None
+    fitted, _ = _tipup_loadings(x, mean, "auto", k_max, h0)
     return tuple(a.shape[1] for a in fitted)
 
 
@@ -91,23 +109,21 @@ def itipup_fit(
     Returns the same :class:`FactorFit` structure as the main estimators.
     """
     x = _as_series(x)
-    xc, mean = _center(x, center)
-    init, _ = _loadings_from_covariances(
-        xc.shape[1:], ranks, k_max, lambda d: tipup_mode_matrix(xc, d, h0)
-    )
+    mean = x.mean(axis=0) if center else None
+    init, _ = _tipup_loadings(x, mean, ranks, k_max, h0)
     ranks = tuple(a.shape[1] for a in init)
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
-        xc,
+        x,
         ranks,
         init,
-        lambda s, lds, d: _projected_tipup_matrix(s, lds, d, h0),
+        lambda s, lds, d: _projected_tipup_matrix(s, lds, d, h0, center),
         tol=tol,
         max_iter=max_iter,
         update_within_sweep=update_within_sweep,
     )
     return FactorFit(
         loadings=loadings,
-        factors=extract_factors(xc, loadings),
+        factors=extract_factors(x, loadings, center),
         eigvals=eigvals,
         iterations=sweeps,
         converged=converged,

@@ -22,12 +22,11 @@ import time
 
 import numpy as np
 
-from .baseline import tipup_mode_matrix
+from .baseline import _tipup_loadings
 from .estimation import (
     EstimatorConfig,
-    _loadings_from_covariances,
+    _mopca_loadings,
     extract_factors,
-    mode_covariance,
     reconstruct_signals,
     varimax,
 )
@@ -73,14 +72,24 @@ def _parse_dims(text):
     return values
 
 
-def _lag_count(text):
+def _count(text):
     try:
-        lags = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if lags < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {lags}")
-    return lags
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _parse_ranks_arg(text):
@@ -97,13 +106,13 @@ def _add_estimator_flags(p):
                    help="comma-separated ranks per mode, or 'auto'")
     p.add_argument("--kmax", type=int, default=None,
                    help="search bound for automatic rank selection")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=_positive, default=1e-6)
+    p.add_argument("--max-iter", type=_count, default=50)
     p.add_argument("--no-center", action="store_true",
                    help="skip subtracting the temporal mean tensor")
     p.add_argument("--no-update-within-sweep", action="store_true",
                    help="freeze projections within each refinement sweep")
-    p.add_argument("--lags", type=_lag_count, default=1,
+    p.add_argument("--lags", type=_count, default=1,
                    help="auto-covariance lag count for itipup")
 
 
@@ -136,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("data")
     p_rank.add_argument("--kmax", type=int, default=None)
     p_rank.add_argument("--method", default="mopca", choices=["mopca", "itipup"])
-    p_rank.add_argument("--lags", type=_lag_count, default=1)
+    p_rank.add_argument("--lags", type=_count, default=1)
     p_rank.add_argument("--no-center", action="store_true")
 
     p_rec = sub.add_parser("reconstruct", help="apply saved loadings")
@@ -157,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default=None,
                          help="comma-separated methods override")
     p_bench.add_argument("--kmax", type=int, default=None)
-    p_bench.add_argument("--tol", type=float, default=None)
-    p_bench.add_argument("--max-iter", type=int, default=None)
+    p_bench.add_argument("--tol", type=_positive, default=None)
+    p_bench.add_argument("--max-iter", type=_count, default=None)
     p_bench.add_argument("--ranks", default=None)
-    p_bench.add_argument("--lags", type=_lag_count, default=None)
+    p_bench.add_argument("--lags", type=_count, default=None)
     p_bench.add_argument("--no-center", action="store_true")
     p_bench.add_argument("--no-update-within-sweep", action="store_true")
     p_bench.add_argument("--varimax", action="store_true")
@@ -206,10 +215,6 @@ def _cmd_estimate(args) -> int:
     series = read_tensor_series(args.data)
     cfg = _estimator_config_from_args(args)
     start = time.perf_counter()
-    # centre the series read in place: the fit then holds no centred copy
-    if cfg.center:
-        series -= series.mean(axis=0)
-        cfg = dataclasses.replace(cfg, center=False)
     fit = _fit_method(args.method, series, cfg)
     seconds = time.perf_counter() - start
     loadings = fit.loadings
@@ -225,15 +230,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rank(args) -> int:
     series = read_tensor_series(args.data)
-    if not args.no_center:
-        series -= series.mean(axis=0)
+    # the fits' own spectrum pass, centring chunk by chunk
+    mean = None if args.no_center else series.mean(axis=0)
     if args.method == "itipup":
-        cov = lambda d: tipup_mode_matrix(series, d, args.lags)  # noqa: E731
+        loadings, spectra = _tipup_loadings(series, mean, "auto", args.kmax,
+                                            args.lags)
     else:
-        cov = lambda d: mode_covariance(series, d)  # noqa: E731
-    loadings, spectra = _loadings_from_covariances(
-        series.shape[1:], "auto", args.kmax, cov
-    )
+        loadings, spectra = _mopca_loadings(series, mean, "auto", args.kmax)
     print(",".join(str(a.shape[1]) for a in loadings))
     for d, values in enumerate(spectra):
         listing = " ".join(f"{v:.6g}" for v in values)
@@ -294,21 +297,20 @@ def _cmd_bench(args) -> int:
         for m in methods:
             if m not in config.estimators:
                 config.estimators[m] = EstimatorConfig(method=m)
-    for cfg in config.estimators.values():
-        if args.kmax is not None:
-            cfg.k_max = args.kmax
-        if args.tol is not None:
-            cfg.tol = args.tol
-        if args.max_iter is not None:
-            cfg.max_iter = args.max_iter
-        if args.ranks is not None:
-            cfg.ranks = _parse_ranks_arg(args.ranks)
-        if args.lags is not None:
-            cfg.lags = args.lags
-        if args.no_center:
-            cfg.center = False
-        if args.no_update_within_sweep:
-            cfg.update_within_sweep = False
+    # one replace per config, so the overrides are validated like the file
+    overrides = {}
+    for field, value in (("k_max", args.kmax), ("tol", args.tol),
+                         ("max_iter", args.max_iter), ("lags", args.lags)):
+        if value is not None:
+            overrides[field] = value
+    if args.ranks is not None:
+        overrides["ranks"] = _parse_ranks_arg(args.ranks)
+    if args.no_center:
+        overrides["center"] = False
+    if args.no_update_within_sweep:
+        overrides["update_within_sweep"] = False
+    config.estimators = {m: dataclasses.replace(cfg, **overrides)
+                         for m, cfg in config.estimators.items()}
     if args.varimax:
         config.apply_varimax = True
     if args.emit_loadings:

@@ -17,6 +17,14 @@ with loadings ``A_d`` of shape ``(p_d, k_d)`` normalized so that
 
 Rank selection by consecutive eigenvalue ratios and a varimax rotation
 for loading interpretation round out the module.
+
+Centring holds the series once: no estimator builds ``X_t - mean``.
+The mode covariances come from one pass over chunks of whole tensors
+(``tensor._mode_grams``), which centres each chunk into a reused buffer
+and accumulates every mode's Gram matrix from it.  Projections and
+factors are centred after projecting: by linearity ``P(X_t - mean) =
+P(X_t) - mean_s P(X_s)``, so the small projected stack's own temporal
+mean is subtracted.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import subspace_distance, top_k_eigensystem
-from .tensor import _mode_gram, mode_product, multi_mode_product
+from .tensor import _mode_gram, _mode_grams, mode_product, multi_mode_product
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -60,7 +68,10 @@ class FactorFit:
     per_sweep_distance : list of float
         History of the stopping statistic, one entry per sweep.
     mean : ndarray or None
-        Temporal mean tensor subtracted before fitting, if any.
+        Temporal mean tensor of the series when the fit centred it (None
+        otherwise).  The fit works in centred coordinates without ever
+        subtracting it from the whole series; add it to ``signals`` to
+        return to the data's coordinates.
     """
 
     loadings: list[np.ndarray]
@@ -119,13 +130,6 @@ def _as_series(x) -> np.ndarray:
     return x
 
 
-def _center(x: np.ndarray, center: bool):
-    if not center:
-        return x, None
-    mean = x.mean(axis=0)
-    return x - mean, mean
-
-
 def _check_ranks(ranks, dims) -> tuple[int, ...]:
     ranks = tuple(int(k) for k in ranks)
     if len(ranks) != len(dims):
@@ -154,13 +158,17 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def projected_series(x: np.ndarray, loadings, mode: int) -> np.ndarray:
+def projected_series(x: np.ndarray, loadings, mode: int,
+                     center: bool = False) -> np.ndarray:
     """Project each observation through every other mode's loadings.
 
     Returns the stack of ``X_t^(d) (A_D kron ... kron A_{d+1} kron
     A_{d-1} kron ... kron A_1) / p_{-d}`` as an array of shape
     ``(T, p_d, k_{-d})``.  The Kronecker matrix is never materialized;
-    the product is evaluated by successive mode products.
+    the product is evaluated by successive mode products.  With
+    ``center`` the stack is that of the centred series ``X_t - mean_s
+    X_s``, formed by subtracting the projected stack's own temporal mean
+    (the projection is linear), so no centred series is built.
     """
     x = _as_series(x)
     d_count = x.ndim - 1
@@ -181,28 +189,38 @@ def projected_series(x: np.ndarray, loadings, mode: int) -> np.ndarray:
             continue
         y = mode_product(y, loadings[d].T, d + 1)
     # per-observation mode-d unfolding of the projected stack, batched:
-    # reverse the trailing axes so a C-order reshape enumerates them with
-    # the lowest original mode fastest (the unfold column convention)
-    z = np.moveaxis(y, mode + 1, 1)
-    z = z.transpose((0, 1) + tuple(range(z.ndim - 1, 1, -1)))
-    return z.reshape(x.shape[0], x.shape[mode + 1], -1) / p_other
+    # mode d first, then the other modes reversed, so a C-order reshape
+    # enumerates them lowest mode fastest (the unfold column convention)
+    axes = [0, mode + 1] + [a for a in range(d_count, 0, -1) if a != mode + 1]
+    y = y.transpose(axes).reshape(x.shape[0], x.shape[mode + 1], -1) / p_other
+    if center:
+        y -= np.add.reduce(y, axis=0) / y.shape[0]  # y.mean(axis=0), one call
+    return y
 
 
-def projected_mode_covariance(x: np.ndarray, loadings, mode: int) -> np.ndarray:
-    """Covariance ``sum_t Y_t Y_t' / (T p_d)`` of the projected series."""
-    y = projected_series(x, loadings, mode)
+def projected_mode_covariance(x: np.ndarray, loadings, mode: int,
+                              center: bool = False) -> np.ndarray:
+    """Covariance ``sum_t Y_t Y_t' / (T p_d)`` of the projected series
+    (of the centred series with ``center``, see :func:`projected_series`)."""
+    y = projected_series(x, loadings, mode, center)
     m = _mode_gram(y, y, 1) / (y.shape[0] * y.shape[1])
     return (m + m.T) / 2.0
 
 
 def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray:
-    """Core tensors ``F_t = X_t x_1 A_1' x_2 ... x_D A_D' / p``."""
+    """Core tensors ``F_t = X_t x_1 A_1' x_2 ... x_D A_D' / p``.
+
+    With ``center`` they are the cores of ``X_t - mean_s X_s``: the cores'
+    own temporal mean is subtracted, so no centred series is built.
+    """
     x = _as_series(x)
-    x, _ = _center(x, center)
     d_count = x.ndim - 1
     p = math.prod(x.shape[1:])
     modes = list(range(1, d_count + 1))
-    return multi_mode_product(x, loadings, modes=modes, transpose=True) / p
+    f = multi_mode_product(x, loadings, modes=modes, transpose=True) / p
+    if center:
+        f -= np.add.reduce(f, axis=0) / f.shape[0]  # f.mean(axis=0), one call
+    return f
 
 
 def reconstruct_signals(factors: np.ndarray, loadings) -> np.ndarray:
@@ -242,21 +260,25 @@ def estimate_ranks(
     projected covariance spectra when ``loadings`` is supplied.
     """
     x = _as_series(x)
-    x, _ = _center(x, center)
     if loadings is None:
-        cov_fn = lambda d: mode_covariance(x, d)  # noqa: E731
+        mean = x.mean(axis=0) if center else None
+        fitted, _ = _mopca_loadings(x, mean, "auto", k_max)
     else:
-        cov_fn = lambda d: projected_mode_covariance(x, loadings, d)  # noqa: E731
-    fitted, _ = _loadings_from_covariances(x.shape[1:], "auto", k_max, cov_fn)
+        fitted, _ = _loadings_from_covariances(
+            x.shape[1:], "auto", k_max,
+            lambda: _projected_covariances(x, loadings, center),
+        )
     return tuple(a.shape[1] for a in fitted)
 
 
-def _loadings_from_covariances(dims, ranks, k_max, cov_fn):
+def _loadings_from_covariances(dims, ranks, k_max, covs_fn):
     """Eigendecompose one covariance per mode; returns loadings + spectra.
 
-    With ``ranks="auto"`` each rank comes from the ratio rule on the same
-    spectrum that yields the loadings, so every covariance is built once.
-    Spectra are raw: the ratio rule floors rounding-level negatives.
+    ``covs_fn()`` returns every mode's covariance; it is called once, after
+    ``ranks`` and ``k_max`` are checked.  With ``ranks="auto"`` each rank
+    comes from the ratio rule on the same spectrum that yields the
+    loadings, so every covariance is built once.  Spectra are raw: the
+    ratio rule floors rounding-level negatives.
     """
     auto = isinstance(ranks, str)
     if auto:
@@ -269,17 +291,33 @@ def _loadings_from_covariances(dims, ranks, k_max, cov_fn):
     else:
         ranks = _check_ranks(ranks, dims)
     loadings, spectra = [], []
-    for d, p_d in enumerate(dims):
-        es = top_k_eigensystem(cov_fn(d), p_d)
+    for d, (p_d, cov) in enumerate(zip(dims, covs_fn())):
+        es = top_k_eigensystem(cov, p_d)
         spectra.append(es.values)
         k_d = select_rank_from_eigenvalues(es.values, k_max) if auto else ranks[d]
         loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
     return loadings, spectra
 
 
-def _mopca_loadings(xc, ranks, k_max):
+def _mode_covariances(x, mean):
+    """Every mode's covariance of ``x - mean`` (of ``x`` when ``mean`` is
+    None) from one pass of ``tensor._mode_grams``; equals
+    :func:`mode_covariance` of the centred series up to rounding."""
+    covs = []
+    for g in _mode_grams(x, mean)[0]:
+        m = g / x.size
+        covs.append((m + m.T) / 2.0)
+    return covs
+
+
+def _projected_covariances(x, loadings, center):
+    return [projected_mode_covariance(x, loadings, d, center)
+            for d in range(x.ndim - 1)]
+
+
+def _mopca_loadings(x, mean, ranks, k_max):
     return _loadings_from_covariances(
-        xc.shape[1:], ranks, k_max, lambda d: mode_covariance(xc, d)
+        x.shape[1:], ranks, k_max, lambda: _mode_covariances(x, mean)
     )
 
 
@@ -307,11 +345,11 @@ def mopca_fit(
         Ratio-rule search bound when ``ranks="auto"``.
     """
     x = _as_series(x)
-    xc, mean = _center(x, center)
-    loadings, spectra = _mopca_loadings(xc, ranks, k_max)
+    mean = x.mean(axis=0) if center else None
+    loadings, spectra = _mopca_loadings(x, mean, ranks, k_max)
     return FactorFit(
         loadings=loadings,
-        factors=extract_factors(xc, loadings),
+        factors=extract_factors(x, loadings, center),
         eigvals=[np.maximum(v, 0.0) for v in spectra],
         iterations=0,
         converged=True,
@@ -334,21 +372,21 @@ def pmopca_fit(
     eigendecomposition per mode then yields the refined loadings.
     """
     x = _as_series(x)
-    xc, mean = _center(x, center)
+    mean = x.mean(axis=0) if center else None
     if init is None:
-        init, _ = _mopca_loadings(xc, ranks, k_max)
+        init, _ = _mopca_loadings(x, mean, ranks, k_max)
         ranks = tuple(a.shape[1] for a in init)
     else:
         init = [np.asarray(a, dtype=float) for a in init]
     loadings, spectra = _loadings_from_covariances(
-        xc.shape[1:], ranks, k_max, lambda d: projected_mode_covariance(xc, init, d)
+        x.shape[1:], ranks, k_max, lambda: _projected_covariances(x, init, center)
     )
     dist = max(
         subspace_distance(new, old) for new, old in zip(loadings, init)
     )
     return FactorFit(
         loadings=loadings,
-        factors=extract_factors(xc, loadings),
+        factors=extract_factors(x, loadings, center),
         eigvals=[np.maximum(v, 0.0) for v in spectra],
         iterations=1,
         converged=True,
@@ -428,21 +466,21 @@ def ipmopca_fit(
     the one-shot projected fit exactly.
     """
     x = _as_series(x)
-    xc, mean = _center(x, center)
+    mean = x.mean(axis=0) if center else None
     if init is None:
-        init, _ = _mopca_loadings(xc, ranks, k_max)
+        init, _ = _mopca_loadings(x, mean, ranks, k_max)
         ranks = tuple(a.shape[1] for a in init)
     else:
         init = [np.asarray(a, dtype=float) for a in init]
         if isinstance(ranks, str):
             ranks = tuple(a.shape[1] for a in init)
         else:
-            ranks = _check_ranks(ranks, xc.shape[1:])
+            ranks = _check_ranks(ranks, x.shape[1:])
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
-        xc,
+        x,
         ranks,
         init,
-        lambda s, lds, d: projected_mode_covariance(s, lds, d),
+        lambda s, lds, d: projected_mode_covariance(s, lds, d, center),
         tol=tol,
         max_iter=max_iter,
         update_within_sweep=update_within_sweep,
@@ -450,7 +488,7 @@ def ipmopca_fit(
     )
     return FactorFit(
         loadings=loadings,
-        factors=extract_factors(xc, loadings),
+        factors=extract_factors(x, loadings, center),
         eigvals=eigvals,
         iterations=sweeps,
         converged=converged,

@@ -32,16 +32,18 @@ from .estimation import (
     ipmopca_fit,
     mopca_fit,
     pmopca_fit,
+    reconstruct_signals,
     varimax,
 )
 from .io import read_tensor_series
 from .metrics import (
+    _reconstruction_sums,
+    _relative_error,
     column_space_distance,
     rank_accuracy,
-    reconstruction_error,
-    signal_rmse,
 )
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
+from .tensor import _chunks
 
 logger = logging.getLogger(__name__)
 
@@ -133,16 +135,27 @@ def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
         return EvalReport(method=method, replication=rep, seconds=seconds,
                           error=str(exc)), None
-    if fit.mean is not None:
-        s_hat = s_hat + fit.mean
-    re_val = reconstruction_error(series, s_hat)
+    # RE and RMSE over chunks of whole tensors, with the mean added and the
+    # true signals rebuilt per chunk: the same per-tensor sums, in the same
+    # order, as the whole-array metrics, without their full-size operands.
+    # A one-chunk series shares the cached truth signals across methods.
+    re_sums, rmse_num = (0.0, 0.0), 0.0
+    chunks = _chunks(series.shape)
+    for s in chunks:
+        s_chunk = s_hat[s] if fit.mean is None else s_hat[s] + fit.mean
+        re_sums = _reconstruction_sums(series[s], s_chunk, *re_sums)
+        if truth is not None:
+            s_true = (truth.signals if len(chunks) == 1
+                      else reconstruct_signals(truth.cores[s], truth.loadings))
+            rmse_num, _ = _reconstruction_sums(s_true, s_chunk, rmse_num)
+    re_val = _relative_error(*re_sums)
     distances = rmse = acc = None
     if truth is not None:
         distances = tuple(
             column_space_distance(a_hat, a_true)
             for a_hat, a_true in zip(fit.loadings, truth.loadings)
         )
-        rmse = signal_rmse(s_hat, truth.signals)
+        rmse = float(np.sqrt(rmse_num / series.size))
         acc = rank_accuracy(ranks_est, tuple(a.shape[1] for a in truth.loadings))
     report = EvalReport(
         method=method,

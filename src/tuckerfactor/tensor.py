@@ -28,8 +28,9 @@ import numpy as np
 _BATCH_ELEMS = 1 << 16
 
 # elements in one chunk of whole tensors that a series is transformed in
-# (simulator assembly, CLI reconstruction); bounds the temporaries to a
-# few chunks, and a small series stays one chunk with no per-tensor loop
+# (simulator assembly, the fits' centred Gram pass, evaluation, CLI
+# reconstruction); bounds the temporaries to a few chunks, and a small
+# series stays one chunk with no per-tensor loop
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -131,6 +132,38 @@ def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     for i in range(0, a, step):
         xs, ys = x[i:i + step], y[i:i + step]
         out += np.matmul(xs, ys.transpose(0, 2, 1)).sum(axis=0)
+    return out
+
+
+def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
+    """Every mode's Gram matrix of the centred series, in one pass.
+
+    Returns ``grams[i][d] = _mode_gram(z[:T - h], z[h:], d + 1)`` for
+    ``h = lags[i]`` and ``z = x - mean`` (``x`` itself when ``mean`` is
+    None), for a C-contiguous series ``x`` of shape ``(T, p_1, ..., p_D)``.
+    Each chunk of whole tensors, plus the ``max(lags)`` tensors after it,
+    is centred once into one reused buffer, and all modes' products are
+    taken from there, so the centred series is never held whole.
+    """
+    t_len, reach = x.shape[0], max(lags)
+    out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
+    chunks = _chunks(x.shape)
+    if mean is not None:
+        buf = np.empty((min(chunks[0].stop + reach, t_len),) + x.shape[1:])
+    for s in chunks:
+        start, stop = s.start, min(s.stop + reach, t_len)
+        z = x[start:stop]
+        if mean is not None:
+            z = np.subtract(z, mean, out=buf[:stop - start])
+        for h, grams in zip(lags, out):
+            # pairs (t, t + h) with t in this chunk and t + h < T
+            n = min(s.stop, t_len - h) - start
+            if n <= 0:
+                continue
+            lead = z[:n]
+            lagged = z[h:h + n] if h else lead
+            for axis, g in enumerate(grams, 1):
+                g += _mode_gram(lead, lagged, axis)
     return out
 
 

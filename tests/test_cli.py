@@ -12,7 +12,6 @@ from tuckerfactor import (
     estimate_ranks_tipup,
     estimation,
     extract_factors,
-    mode_covariance,
     noiseless_dataset,
     read_loadings,
     read_tensor_series,
@@ -21,7 +20,6 @@ from tuckerfactor import (
     scenario_config,
     simulate_dataset,
     tensor,
-    tipup_mode_matrix,
     top_k_eigensystem,
     write_loadings,
     write_tensor_series,
@@ -63,39 +61,48 @@ class TestRank:
         # full eigenvalue table: one value per mode size
         assert len(out[1].split(":")[1].split()) == 10
 
-    @pytest.mark.parametrize("method, module, name", [
-        ("mopca", estimation, "mode_covariance"),
-        ("itipup", baseline, "tipup_mode_matrix"),
-    ])
+    @pytest.mark.parametrize("method", ["mopca", "itipup"])
     def test_builds_each_spectrum_once(self, noiseless_file, capsys, monkeypatch,
-                                       method, module, name):
+                                       method):
         # expected output: ranks from the library selector, then every
         # mode's raw spectrum (the fixture's has rounding-level negatives)
+        # from the fits' own centred pass
         series = read_tensor_series(noiseless_file)
-        series -= series.mean(axis=0)
+        mean = series.mean(axis=0)
         if method == "itipup":
-            ranks = estimate_ranks_tipup(series)
-            cov = lambda d: tipup_mode_matrix(series, d)  # noqa: E731
+            ranks = estimate_ranks_tipup(series, center=True)
+            covs = baseline._tipup_matrices(series, mean, 1)
         else:
-            ranks = estimate_ranks(series)
-            cov = lambda d: mode_covariance(series, d)  # noqa: E731
+            ranks = estimate_ranks(series, center=True)
+            covs = estimation._mode_covariances(series, mean)
         lines = [",".join(map(str, ranks))]
         for d in range(3):
-            values = top_k_eigensystem(cov(d), 10).values
+            values = top_k_eigensystem(covs[d], 10).values
             lines.append(f"mode {d + 1} eigenvalues: "
                          + " ".join(f"{v:.6g}" for v in values))
-        calls = []
-        original = getattr(module, name)
+        passes, grams, read = [], [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(calls, original):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(cli, name, counted)
+        def reading(path):
+            read.append(read_tensor_series(path))
+            return read[-1]
+
+        for module in (estimation, baseline):
+            monkeypatch.setattr(module, "_mode_grams",
+                                counting(passes, tensor._mode_grams))
+        monkeypatch.setattr(tensor, "_mode_gram", counting(grams, tensor._mode_gram))
+        monkeypatch.setattr(cli, "read_tensor_series", reading)
         assert main(["rank", noiseless_file, "--method", method]) == 0
-        assert len(calls) == 3
+        # one pass over the series, one Gram matrix per mode (a single chunk)
+        assert len(passes) == 1
+        assert len(grams) == 3
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert read[0].tobytes() == series.tobytes()  # the series read is kept
 
     def test_kmax_too_large_is_numeric_error(self, noiseless_file, capsys):
         rc = main(["rank", noiseless_file, "--kmax", "50"])
@@ -326,6 +333,33 @@ ranks = 2,2
                      if not r.startswith(("mean", "sd"))]
         assert len(data_rows) == 1 * 1 * 2
 
+    def test_flag_overrides_replace_each_config(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"""
+[experiment]
+methods = mopca, itipup
+out = {tmp_path / 'r'}
+
+[simulation]
+T = 10
+dims = 6, 6
+ranks = 2, 2
+
+[estimator.itipup]
+lags = 2
+""")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert main(["bench", str(cfg), "--tol", "1e-3", "--max-iter", "7",
+                     "--ranks", "2,1", "--no-center"]) == 0
+        estimators = seen[0].estimators
+        assert estimators["itipup"] == EstimatorConfig(
+            method="itipup", ranks=(2, 1), tol=1e-3, max_iter=7, center=False,
+            lags=2)
+        assert estimators["mopca"] == EstimatorConfig(
+            method="mopca", ranks=(2, 1), tol=1e-3, max_iter=7, center=False)
+
 
 class TestExitCodes:
     def test_unknown_method_is_usage_error(self, noiseless_file):
@@ -358,6 +392,18 @@ class TestExitCodes:
     def test_lags_below_one_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         assert "--lags" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "data.tnsf", "--out", "x", "--tol", "0"], "--tol"),
+        (["estimate", "data.tnsf", "--out", "x", "--tol", "-1"], "--tol"),
+        (["estimate", "data.tnsf", "--out", "x", "--max-iter", "0"], "--max-iter"),
+        (["bench", "bench.cfg", "--tol", "-1"], "--tol"),
+        (["bench", "bench.cfg", "--tol", "nan"], "--tol"),
+        (["bench", "bench.cfg", "--max-iter", "0"], "--max-iter"),
+    ])
+    def test_tol_and_max_iter_out_of_range_are_usage_errors(self, argv, flag, capsys):
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

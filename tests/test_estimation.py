@@ -5,7 +5,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import make_noiseless_series, random_orthogonal
+from conftest import (
+    make_noiseless_series,
+    make_orthonormal_loadings,
+    needs_vmhwm,
+    random_orthogonal,
+    run_peak_script,
+)
 from tuckerfactor import (
     EstimatorConfig,
     column_space_distance,
@@ -19,8 +25,10 @@ from tuckerfactor import (
     projected_series,
     projection_matrix,
     reconstruct_signals,
+    scenario_config,
     select_rank_from_eigenvalues,
     signal_rmse,
+    simulate_dataset,
     subspace_distance,
     thin_left_singular,
     unfold,
@@ -440,6 +448,71 @@ class TestEstimatorInvariants:
     def test_single_sample_allowed(self, rng):
         fit = mopca_fit(rng.standard_normal((1, 4, 5)), (1, 1), center=False)
         assert fit.factors.shape == (1, 1, 1)
+
+
+ALL_FITS = [mopca_fit, pmopca_fit, ipmopca_fit, itipup_fit]
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestCentringWithoutCopy:
+    """The fits centre per chunk and after projecting, never building the
+    centred series; by linearity that is the fit of the centred series."""
+
+    def test_projections_centre_after_projecting(self, rng):
+        x = rng.standard_normal((7, 5, 4, 3)) + 3.0
+        xc = x - x.mean(axis=0)
+        loadings = make_orthonormal_loadings(rng, (5, 4, 3), (2, 3, 2))
+        for d in range(3):
+            got = projected_series(x, loadings, d, center=True)
+            assert relative_error(got, projected_series(xc, loadings, d)) <= 1e-12
+            got = projected_mode_covariance(x, loadings, d, center=True)
+            assert relative_error(
+                got, projected_mode_covariance(xc, loadings, d)) <= 1e-12
+        got = extract_factors(x, loadings, center=True)
+        assert relative_error(got, extract_factors(xc, loadings)) <= 1e-12
+
+    def test_projection_leaves_its_input_alone(self, rng):
+        # a one-way series projects through no other mode
+        x = rng.standard_normal((6, 4)) + 2.0
+        before = x.copy()
+        projected_series(x, [np.ones((4, 1))], 0, center=True)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("fit_fn", ALL_FITS)
+    def test_large_offset_agrees_with_precentred_fit(self, fit_fn):
+        series, _ = simulate_dataset(scenario_config("II", 30, (9, 8, 7), seed=4))
+        u = np.random.default_rng(5).uniform(size=series.shape[1:])
+        fit = fit_fn(series + 1e4 * (1 + u), (2, 3, 4))
+        ref = fit_fn(series - series.mean(axis=0), (2, 3, 4), center=False)
+        for a, b in zip(fit.loadings, ref.loadings):
+            assert column_space_distance(a, b) <= 1e-11
+        assert relative_error(fit.factors, ref.factors) <= 1e-10
+
+
+_FIT_PEAK_SCRIPT = """
+import sys
+import numpy as np
+import tuckerfactor as tf
+
+fit = getattr(tf, sys.argv[1])
+options = {} if sys.argv[1] in ("mopca_fit", "pmopca_fit") else {"max_iter": 2}
+x = np.random.default_rng(0).standard_normal((32, 64, 64, 32))
+fit(x[:4, :8, :8, :8], (2, 3, 4), **options)  # loads the BLAS and LAPACK paths
+before = peak_kib()
+fit(x, (2, 3, 4), **options)
+print((peak_kib() - before) * 1024 / x.nbytes)
+"""
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("fit_fn", ALL_FITS)
+def test_fit_holds_the_series_once(fit_fn):
+    # peak RSS growth of a fresh process fitting a 32 MiB series; a centred
+    # copy of the series grows it by at least the series
+    assert float(run_peak_script(_FIT_PEAK_SCRIPT, fit_fn.__name__)) <= 0.25
 
 
 class TestEstimatorConfig:

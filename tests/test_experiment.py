@@ -5,15 +5,21 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import needs_vmhwm, run_peak_script
 from tuckerfactor import (
     EstimatorConfig,
     ExperimentConfig,
     SimConfig,
     parse_experiment_config,
+    reconstruction_error,
     run_experiment,
+    scenario_config,
+    signal_rmse,
+    simulate_dataset,
+    tensor,
     write_tensor_series,
 )
-from tuckerfactor.experiment import CSV_COLUMNS
+from tuckerfactor.experiment import CSV_COLUMNS, _evaluate
 
 
 def small_config(tmp_path, methods=("mopca", "ipmopca"), reps=3, ranks=(2, 2, 2)):
@@ -128,6 +134,58 @@ class TestRunExperiment:
             ExperimentConfig(methods=[], sim=SimConfig(T=2, dims=(2,), ranks=(1,)))
         with pytest.raises(ValueError):
             ExperimentConfig(methods=["mopca"])  # neither sim nor input
+
+
+class TestStreamingEvaluation:
+    """``_evaluate`` accumulates RE and RMSE over chunks of whole tensors and
+    gets the bits of the whole-array metrics."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, None])
+    @pytest.mark.parametrize("method, ranks", [
+        ("mopca", "auto"), ("ipmopca", (2, 2, 2)), ("itipup", "auto")])
+    def test_metrics_match_whole_array(self, monkeypatch, per_chunk, method, ranks):
+        series, truth = simulate_dataset(scenario_config("IV", 11, (6, 5, 4),
+                                                         (2, 2, 2), seed=8))
+        if per_chunk is not None:  # T=11 spans several chunks, the last ragged
+            monkeypatch.setattr(tensor, "_CHUNK_ELEMS", per_chunk * series[0].size)
+        cfg = EstimatorConfig(method=method, ranks=ranks, k_max=3)
+        report, fit = _evaluate(method, 0, series, truth, cfg)
+        signals = fit.signals + fit.mean
+        assert report.reconstruction == reconstruction_error(series, signals)
+        assert report.rmse == signal_rmse(signals, truth.signals)
+
+    def test_without_centring_or_truth(self):
+        series, _ = simulate_dataset(scenario_config("II", 9, (5, 4, 3), (2, 2, 2)))
+        cfg = EstimatorConfig(ranks=(2, 2, 2), center=False)
+        report, fit = _evaluate("mopca", 0, series, None, cfg)
+        assert report.reconstruction == reconstruction_error(series, fit.signals)
+        assert report.rmse is None and report.distances is None
+
+
+_REPLICATION_PEAK_SCRIPT = """
+import sys
+import tuckerfactor as tf
+
+def config(T, dims):
+    return tf.ExperimentConfig(
+        methods=["mopca"], replications=1, out_dir=sys.argv[1],
+        sim=tf.scenario_config("II", T, dims, (2, 3, 4)),
+        estimators={"mopca": tf.EstimatorConfig(method="mopca")})
+
+tf.run_experiment(config(4, (8, 8, 8)))  # loads the BLAS and LAPACK paths
+before = peak_kib()
+tf.run_experiment(config(32, (64, 64, 32)))
+print((peak_kib() - before) * 1024 / (32 * 64 * 64 * 32 * 8))
+"""
+
+
+@needs_vmhwm
+def test_replication_peak(tmp_path):
+    # peak RSS growth of a fresh process running one replication on a 32 MiB
+    # simulated series: the series and the fitted signals, both timed
+    # outputs, plus chunk-sized temporaries; a full-size copy of either, or
+    # the whole true signal array, adds one more series
+    assert float(run_peak_script(_REPLICATION_PEAK_SCRIPT, tmp_path)) <= 2.5
 
 
 class TestConfigParsing:

@@ -215,6 +215,49 @@ class TestContractionKernels:
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+class TestFusedModeGrams:
+    """``tensor._mode_grams`` gives every mode's (lagged) Gram matrix of the
+    centred series in one chunked pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=tensors(min_dims=2, max_dims=5),
+           lags=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+           center=st.booleans(),
+           per_chunk=st.sampled_from([1, 3, None]),
+           data=st.data())
+    def test_matches_centred_unfold_definition(self, x, lags, center, per_chunk, data):
+        mean = x.mean(axis=0) if center else None
+        with pytest.MonkeyPatch.context() as mp:
+            if per_chunk is not None:  # None: the default budget
+                mp.setattr(tensor_module, "_CHUNK_ELEMS", per_chunk * x[0].size)
+            out = tensor_module._mode_grams(x, mean, lags)
+        xc = x - mean if center else x
+        assert len(out) == len(lags)
+        for h, grams in zip(lags, out):
+            assert len(grams) == x.ndim - 1
+            for mode, g in enumerate(grams):
+                p_d = x.shape[mode + 1]
+                want = (unfold_gram(xc[:len(x) - h], xc[h:], mode) if h < len(x)
+                        else np.zeros((p_d, p_d)))
+                assert g.shape == (p_d, p_d)
+                assert relative_error(g, want) <= 1e-12
+
+    def test_one_chunk_matches_whole_array_gram(self, rng):
+        # a series in one chunk gets the whole-array kernel's bits
+        x = rng.standard_normal((5, 4, 3, 6))
+        xc = x - x.mean(axis=0)
+        grams, lagged = tensor_module._mode_grams(x, x.mean(axis=0), (0, 1))
+        for axis in (1, 2, 3):
+            assert np.array_equal(grams[axis - 1],
+                                  tensor_module._mode_gram(xc, xc, axis))
+            assert np.array_equal(lagged[axis - 1],
+                                  tensor_module._mode_gram(xc[:-1], xc[1:], axis))
+
+
 class TestMultiModeProduct:
     def test_empty_list(self, rng):
         x = rng.standard_normal((2, 3))

@@ -135,19 +135,20 @@ def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
         return EvalReport(method=method, replication=rep, seconds=seconds,
                           error=str(exc)), None
-    # RE and RMSE over chunks of whole tensors, with the mean added and the
-    # true signals rebuilt per chunk: the same per-tensor sums, in the same
-    # order, as the whole-array metrics, without their full-size operands.
-    # A one-chunk series shares the cached truth signals across methods.
+    # RE and RMSE over chunks of whole tensors, with the mean added per
+    # tensor and the true signals rebuilt per chunk: the same per-tensor
+    # sums, in the same order, as the whole-array metrics, without their
+    # full-size operands.  A one-chunk series shares the cached truth
+    # signals across methods.
     re_sums, rmse_num = (0.0, 0.0), 0.0
     chunks = _chunks(series.shape)
     for s in chunks:
-        s_chunk = s_hat[s] if fit.mean is None else s_hat[s] + fit.mean
-        re_sums = _reconstruction_sums(series[s], s_chunk, *re_sums)
+        re_sums = _reconstruction_sums(series[s], s_hat[s], *re_sums, fit.mean)
         if truth is not None:
             s_true = (truth.signals if len(chunks) == 1
                       else reconstruct_signals(truth.cores[s], truth.loadings))
-            rmse_num, _ = _reconstruction_sums(s_true, s_chunk, rmse_num)
+            rmse_num, _ = _reconstruction_sums(s_true, s_hat[s], rmse_num, 0.0,
+                                               fit.mean)
     re_val = _relative_error(*re_sums)
     distances = rmse = acc = None
     if truth is not None:
@@ -228,6 +229,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
             if config.emit_loadings and fit is not None:
                 _emit_loading_csvs(config.out_dir, rep, method, fit,
                                    config.apply_varimax)
+            fit = None  # its signals would outlive it into the next method's fit
         logger.info("replication %d/%d done", rep + 1, config.replications)
 
     rows.extend(_aggregate_rows(reports, config.methods, d_count))

@@ -166,11 +166,13 @@ _REPLICATION_PEAK_SCRIPT = """
 import sys
 import tuckerfactor as tf
 
+methods = sys.argv[2].split(",")
+
 def config(T, dims):
     return tf.ExperimentConfig(
-        methods=["mopca"], replications=1, out_dir=sys.argv[1],
+        methods=methods, replications=1, out_dir=sys.argv[1],
         sim=tf.scenario_config("II", T, dims, (2, 3, 4)),
-        estimators={"mopca": tf.EstimatorConfig(method="mopca")})
+        estimators={m: tf.EstimatorConfig(method=m) for m in methods})
 
 tf.run_experiment(config(4, (8, 8, 8)))  # loads the BLAS and LAPACK paths
 before = peak_kib()
@@ -180,12 +182,15 @@ print((peak_kib() - before) * 1024 / (32 * 64 * 64 * 32 * 8))
 
 
 @needs_vmhwm
-def test_replication_peak(tmp_path):
+@pytest.mark.parametrize("methods", ["mopca", "mopca,pmopca"])
+def test_replication_peak(tmp_path, methods):
     # peak RSS growth of a fresh process running one replication on a 32 MiB
     # simulated series: the series and the fitted signals, both timed
-    # outputs, plus chunk-sized temporaries; a full-size copy of either, or
-    # the whole true signal array, adds one more series
-    assert float(run_peak_script(_REPLICATION_PEAK_SCRIPT, tmp_path)) <= 2.5
+    # outputs, plus chunk-sized temporaries; a full-size copy of either, the
+    # whole true signal array or the previous method's signals adds one more
+    # series
+    growth = float(run_peak_script(_REPLICATION_PEAK_SCRIPT, tmp_path, methods))
+    assert growth <= 2.5
 
 
 class TestConfigParsing:

@@ -52,9 +52,10 @@ def main(reps=5, seed=29, out_dir=None):
             sec = np.mean([r.seconds for r in rs])
             print(f"{m:<10}{d1:>17.4f}{rmse:>10.3f}{re:>10.3f}{sec:>10.3f}")
 
-    print("\nNote: distances shrink with size for every method, and the")
-    print("plain mode-wise fit is the cheapest since the refinements run")
-    print("it first for their initial loadings.")
+    print("\nNote: distances shrink with size for every method.  The")
+    print("mopca seconds include the replication's one moment pass, which")
+    print("the other three methods then reuse, so a row's seconds are its")
+    print("share of the replication and the four rows sum to all the work.")
     print("\nDone.")
 
 

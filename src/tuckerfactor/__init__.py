@@ -10,8 +10,8 @@ format with a small CLI.
 
 from .baseline import estimate_ranks_tipup, itipup_fit, tipup_mode_matrix
 from .estimation import (
-    EstimatorConfig,
     FactorFit,
+    SeriesMoments,
     estimate_ranks,
     extract_factors,
     ipmopca_fit,
@@ -22,9 +22,11 @@ from .estimation import (
     projected_series,
     reconstruct_signals,
     select_rank_from_eigenvalues,
+    series_moments,
     varimax,
 )
 from .experiment import (
+    EstimatorConfig,
     EvalReport,
     ExperimentConfig,
     parse_experiment_config,
@@ -88,6 +90,7 @@ __all__ = [
     "PayloadSizeError",
     "SCENARIOS",
     "SIZE_GRID",
+    "SeriesMoments",
     "SimConfig",
     "SimTruth",
     "TensorSeriesFormatError",
@@ -121,6 +124,7 @@ __all__ = [
     "run_experiment",
     "scenario_config",
     "select_rank_from_eigenvalues",
+    "series_moments",
     "signal_rmse",
     "simulate_core_path",
     "simulate_dataset",

@@ -18,13 +18,16 @@ from .estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactorFit,
+    SeriesMoments,
     _as_series,
-    _loadings_from_covariances,
+    _eigensystems,
+    _loadings_from_spectra,
+    _moments_for,
     extract_factors,
     iterate_projected_fit,
     projected_series,
 )
-from .tensor import _mode_gram, _mode_grams
+from .tensor import _mode_gram
 
 
 def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
@@ -60,20 +63,19 @@ def _lag_sum(x, axis, h0, scale, grams=None):
     return (out + out.T) / 2.0
 
 
-def _tipup_matrices(x, mean, h0):
-    """Every mode's :func:`tipup_mode_matrix` of ``x - mean`` (of ``x`` when
-    ``mean`` is None), from one pass of ``tensor._mode_grams``."""
+def _tipup_moments(x, moments, center, h0):
+    """``moments`` checked for lags ``1..h0``, or the series' own."""
     _check_lags(x, h0)
-    by_lag = _mode_grams(x, mean, range(1, h0 + 1))
+    return _moments_for(x, moments, center, range(1, h0 + 1))
+
+
+def _tipup_loadings(x, moments, ranks, k_max, h0):
+    """Loadings and spectra of every mode's :func:`tipup_mode_matrix` of the
+    centred series, from the lagged Gram matrices of ``moments``."""
     p = math.prod(x.shape[1:])
-    return [_lag_sum(x, d + 1, h0, p, grams)
-            for d, grams in enumerate(zip(*by_lag))]
-
-
-def _tipup_loadings(x, mean, ranks, k_max, h0):
-    return _loadings_from_covariances(
-        x.shape[1:], ranks, k_max, lambda: _tipup_matrices(x, mean, h0)
-    )
+    return _loadings_from_spectra(x.shape[1:], ranks, k_max, lambda: _eigensystems(
+        _lag_sum(x, d + 1, h0, p, [moments.grams[h][d] for h in range(1, h0 + 1)])
+        for d in range(x.ndim - 1)))
 
 
 def _projected_tipup_matrix(x, loadings, mode, h0, center):
@@ -83,11 +85,13 @@ def _projected_tipup_matrix(x, loadings, mode, h0, center):
 
 
 def estimate_ranks_tipup(x: np.ndarray, k_max: int | None = None, h0: int = 1,
-                         center: bool = False) -> tuple[int, ...]:
-    """Eigenvalue-ratio rank selection on the lagged auto-covariance matrices."""
+                         center: bool = False, *,
+                         moments: SeriesMoments | None = None) -> tuple[int, ...]:
+    """Eigenvalue-ratio rank selection on the lagged auto-covariance matrices
+    (built from ``moments``, lags ``1..h0``, when given)."""
     x = _as_series(x)
-    mean = x.mean(axis=0) if center else None
-    fitted, _ = _tipup_loadings(x, mean, "auto", k_max, h0)
+    moments = _tipup_moments(x, moments, center, h0)
+    fitted, _ = _tipup_loadings(x, moments, "auto", k_max, h0)
     return tuple(a.shape[1] for a in fitted)
 
 
@@ -100,17 +104,19 @@ def itipup_fit(
     update_within_sweep: bool = True,
     center: bool = True,
     k_max: int | None = None,
+    *, moments: SeriesMoments | None = None,
 ) -> FactorFit:
     """Iterative projected fit driven by lagged auto-covariances.
 
-    Initial loadings come from the unprojected lag matrices; each sweep
-    projects the series through the other modes' current loadings before
-    forming the lag products, mirroring the iterative projected PCA loop.
-    Returns the same :class:`FactorFit` structure as the main estimators.
+    Initial loadings come from the unprojected lag matrices (of the lags
+    ``1..h0`` of ``moments`` when given); each sweep projects the series
+    through the other modes' current loadings before forming the lag
+    products, mirroring the iterative projected PCA loop.  Returns the
+    same :class:`FactorFit` structure as the main estimators.
     """
     x = _as_series(x)
-    mean = x.mean(axis=0) if center else None
-    init, _ = _tipup_loadings(x, mean, ranks, k_max, h0)
+    moments = _tipup_moments(x, moments, center, h0)
+    init, _ = _tipup_loadings(x, moments, ranks, k_max, h0)
     ranks = tuple(a.shape[1] for a in init)
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
         x,
@@ -128,5 +134,5 @@ def itipup_fit(
         iterations=sweeps,
         converged=converged,
         per_sweep_distance=history,
-        mean=mean,
+        mean=moments.mean,
     )

@@ -22,16 +22,17 @@ import time
 
 import numpy as np
 
-from .baseline import _tipup_loadings
+from .baseline import _tipup_loadings, _tipup_moments
 from .estimation import (
-    EstimatorConfig,
-    _mopca_loadings,
+    _pca_loadings,
     extract_factors,
     reconstruct_signals,
+    series_moments,
     varimax,
 )
 from .experiment import (
-    _fit_method,
+    METHODS,
+    EstimatorConfig,
     parse_experiment_config,
     run_experiment,
 )
@@ -100,8 +101,7 @@ def _parse_ranks_arg(text):
 
 
 def _add_estimator_flags(p):
-    p.add_argument("--method", default="mopca",
-                   choices=["mopca", "pmopca", "ipmopca", "itipup"])
+    p.add_argument("--method", default="mopca", choices=list(METHODS))
     p.add_argument("--ranks", default="auto",
                    help="comma-separated ranks per mode, or 'auto'")
     p.add_argument("--kmax", type=int, default=None,
@@ -215,7 +215,7 @@ def _cmd_estimate(args) -> int:
     series = read_tensor_series(args.data)
     cfg = _estimator_config_from_args(args)
     start = time.perf_counter()
-    fit = _fit_method(args.method, series, cfg)
+    fit = METHODS[args.method].fit(series, cfg, None)
     seconds = time.perf_counter() - start
     loadings = fit.loadings
     if args.varimax:
@@ -230,13 +230,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rank(args) -> int:
     series = read_tensor_series(args.data)
-    # the fits' own spectrum pass, centring chunk by chunk
-    mean = None if args.no_center else series.mean(axis=0)
+    # the fits' own start: one moment pass, centring chunk by chunk
+    center = not args.no_center
     if args.method == "itipup":
-        loadings, spectra = _tipup_loadings(series, mean, "auto", args.kmax,
+        moments = _tipup_moments(series, None, center, args.lags)
+        loadings, spectra = _tipup_loadings(series, moments, "auto", args.kmax,
                                             args.lags)
     else:
-        loadings, spectra = _mopca_loadings(series, mean, "auto", args.kmax)
+        loadings, spectra = _pca_loadings(series_moments(series, (0,), center),
+                                          "auto", args.kmax)
     print(",".join(str(a.shape[1]) for a in loadings))
     for d, values in enumerate(spectra):
         listing = " ".join(f"{v:.6g}" for v in values)
@@ -292,11 +294,7 @@ def _cmd_bench(args) -> int:
     if args.seed is not None and config.sim is not None:
         config.sim.seed = args.seed
     if args.methods is not None:
-        methods = [m.strip() for m in args.methods.replace(",", " ").split()]
-        config.methods = methods
-        for m in methods:
-            if m not in config.estimators:
-                config.estimators[m] = EstimatorConfig(method=m)
+        config.methods = [m.strip() for m in args.methods.replace(",", " ").split()]
     # one replace per config, so the overrides are validated like the file
     overrides = {}
     for field, value in (("k_max", args.kmax), ("tol", args.tol),

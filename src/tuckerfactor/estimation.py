@@ -19,12 +19,14 @@ Rank selection by consecutive eigenvalue ratios and a varimax rotation
 for loading interpretation round out the module.
 
 Centring holds the series once: no estimator builds ``X_t - mean``.
-The mode covariances come from one pass over chunks of whole tensors
-(``tensor._mode_grams``), which centres each chunk into a reused buffer
-and accumulates every mode's Gram matrix from it.  Projections and
-factors are centred after projecting: by linearity ``P(X_t - mean) =
-P(X_t) - mean_s P(X_s)``, so the small projected stack's own temporal
-mean is subtracted.
+The mean and the mode covariances come from :func:`series_moments`, one
+pass over chunks of whole tensors (``tensor._mode_grams``) that centres
+each chunk into a reused buffer and accumulates every mode's Gram matrix
+from it.  Its :class:`SeriesMoments` can be passed to several fits of
+one series as ``moments=``, so they share that pass and the mode
+spectra.  Projections and factors are centred after projecting: by
+linearity ``P(X_t - mean) = P(X_t) - mean_s P(X_s)``, so the small
+projected stack's own temporal mean is subtracted.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import subspace_distance, top_k_eigensystem
+from .spectral import EigenSystem, subspace_distance, top_k_eigensystem
 from .tensor import _mode_gram, _mode_grams, mode_product, multi_mode_product
 
 DEFAULT_TOL = 1e-6
@@ -69,9 +71,10 @@ class FactorFit:
         History of the stopping statistic, one entry per sweep.
     mean : ndarray or None
         Temporal mean tensor of the series when the fit centred it (None
-        otherwise).  The fit works in centred coordinates without ever
-        subtracting it from the whole series; add it to ``signals`` to
-        return to the data's coordinates.
+        otherwise), the read-only mean of the fit's :class:`SeriesMoments`.
+        The fit works in centred coordinates without ever subtracting it
+        from the whole series; add it to ``signals`` to return to the
+        data's coordinates.
     """
 
     loadings: list[np.ndarray]
@@ -91,37 +94,9 @@ class FactorFit:
         return reconstruct_signals(self.factors, self.loadings)
 
 
-@dataclass
-class EstimatorConfig:
-    """Bundle of estimator options used by the experiment runner and CLI.
-
-    ``ranks`` may be an explicit tuple or ``"auto"`` to select ranks by
-    the eigenvalue-ratio rule with upper bound ``k_max`` (default
-    ``min(8, min_d p_d - 1)``).  ``lags`` only matters for the
-    auto-covariance baseline.
-    """
-
-    method: str = "mopca"
-    ranks: tuple[int, ...] | str = "auto"
-    k_max: int | None = None
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    update_within_sweep: bool = True
-    center: bool = True
-    lags: int = 1
-
-    def __post_init__(self):
-        if self.method not in ("mopca", "pmopca", "ipmopca", "itipup"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.lags < 1:
-            raise ValueError("lags must be at least 1")
-
-
 def _as_series(x) -> np.ndarray:
+    if np.iscomplexobj(x):
+        raise ValueError("complex input is not supported; pass a real series")
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim < 2:
         raise ValueError("a series must have shape (T, p_1, ..., p_D)")
@@ -138,10 +113,6 @@ def _check_ranks(ranks, dims) -> tuple[int, ...]:
         if not 1 <= k <= p:
             raise ValueError(f"rank {k} out of range for mode of size {p}")
     return ranks
-
-
-def default_k_max(dims) -> int:
-    return min(8, min(dims) - 1) if min(dims) > 1 else 1
 
 
 def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
@@ -248,66 +219,128 @@ def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     return int(np.argmax(num / den)) + 1
 
 
+@dataclass(frozen=True, eq=False)
+class SeriesMoments:
+    """Mean and mode-wise Gram matrices of one series, from one pass.
+
+    ``grams[h][d]`` is mode d's lag-h Gram matrix ``sum_{t<T-h} Z_t^(d)
+    Z_{t+h}^(d)'`` of ``Z_t = X_t - mean`` (``X_t`` when ``mean`` is None)
+    for each ``h`` in ``lags``.  Built by :func:`series_moments`; its
+    arrays are read-only.
+    """
+
+    shape: tuple[int, ...]
+    center: bool
+    lags: tuple[int, ...]
+    mean: np.ndarray | None
+    grams: dict[int, tuple[np.ndarray, ...]]
+
+    @cached_property
+    def eigensystems(self) -> tuple[EigenSystem, ...]:
+        """Every mode's full eigensystem of the lag-0 covariance, computed
+        on first use and kept."""
+        scaled = (g / math.prod(self.shape) for g in self.grams[0])
+        systems = tuple(_eigensystems((m + m.T) / 2.0 for m in scaled))
+        for es in systems:
+            es.values.flags.writeable = es.vectors.flags.writeable = False
+        return systems
+
+
+def series_moments(x, lags=(0,), center: bool = True) -> SeriesMoments:
+    """The temporal mean (with ``center``) and every mode's Gram matrix of
+    the centred series at each of ``lags`` (>= 0), in one pass.
+
+    Pass it as ``moments=`` to the fits of ``x`` with the same ``center``:
+    lag 0 serves the PCA fits and :func:`estimate_ranks`, lags ``1..h0``
+    serve iTIPUP.  A fit checks shape, ``center`` and lags; that the
+    moments are of the same series is the caller's promise.
+    """
+    x = _as_series(x)
+    lags = tuple(sorted({int(h) for h in lags}))
+    if lags and lags[0] < 0:
+        raise ValueError(f"lags must be nonnegative, got {lags}")
+    mean = x.mean(axis=0) if center else None
+    grams = dict(zip(lags, map(tuple, _mode_grams(x, mean, lags)))) if lags else {}
+    for a in [g for gs in grams.values() for g in gs] + ([] if mean is None else [mean]):
+        a.flags.writeable = False
+    return SeriesMoments(x.shape, center, lags, mean, grams)
+
+
+def _moments_for(x, moments, center, lags) -> SeriesMoments:
+    """``moments`` checked against a fit's input, or the series' own."""
+    if moments is None:
+        return series_moments(x, lags, center)
+    if ((moments.shape, moments.center) != (x.shape, center)
+            or not set(lags) <= set(moments.lags)):
+        raise ValueError(
+            f"moments of shape {moments.shape}, center={moments.center}, lags "
+            f"{moments.lags} do not fit a series of shape {x.shape} with "
+            f"center={center} that needs lags {tuple(lags)}")
+    return moments
+
+
 def estimate_ranks(
     x: np.ndarray,
     k_max: int | None = None,
     loadings=None,
     center: bool = False,
+    *, moments: SeriesMoments | None = None,
 ) -> tuple[int, ...]:
     """Eigenvalue-ratio rank selection, one rank per mode.
 
-    Ratios are formed from the mode covariance spectra, or from the
-    projected covariance spectra when ``loadings`` is supplied.
+    Ratios are formed from the mode covariance spectra (those of
+    ``moments``, lag 0, when given), or from the projected covariance
+    spectra when ``loadings`` is supplied.
     """
     x = _as_series(x)
     if loadings is None:
-        mean = x.mean(axis=0) if center else None
-        fitted, _ = _mopca_loadings(x, mean, "auto", k_max)
+        fitted, _ = _pca_loadings(_moments_for(x, moments, center, (0,)),
+                                  "auto", k_max)
     else:
-        fitted, _ = _loadings_from_covariances(
+        fitted, _ = _loadings_from_spectra(
             x.shape[1:], "auto", k_max,
-            lambda: _projected_covariances(x, loadings, center),
+            lambda: _eigensystems(_projected_covariances(x, loadings, center)),
         )
     return tuple(a.shape[1] for a in fitted)
 
 
-def _loadings_from_covariances(dims, ranks, k_max, covs_fn):
-    """Eigendecompose one covariance per mode; returns loadings + spectra.
+def _loadings_from_spectra(dims, ranks, k_max, systems_fn):
+    """Loadings and raw spectra from one full eigensystem per mode.
 
-    ``covs_fn()`` returns every mode's covariance; it is called once, after
-    ``ranks`` and ``k_max`` are checked.  With ``ranks="auto"`` each rank
-    comes from the ratio rule on the same spectrum that yields the
-    loadings, so every covariance is built once.  Spectra are raw: the
-    ratio rule floors rounding-level negatives.
+    ``systems_fn()`` returns every mode's eigensystem; it is called once,
+    after ``ranks`` and ``k_max`` are checked.  With ``ranks="auto"`` each
+    rank comes from the ratio rule on the spectrum that yields the
+    loadings.  A mode whose top eigenvalue is not positive (a constant or
+    single-observation centred series) has no factor directions, so it
+    raises whatever the ranks.  Spectra are raw: the ratio rule floors
+    rounding-level negatives.
     """
     auto = isinstance(ranks, str)
     if auto:
         if ranks != "auto":
             raise ValueError(f"ranks must be a tuple or 'auto', got {ranks!r}")
+        if min(dims) < 2:
+            raise ValueError(f"ranks='auto' needs two eigenvalues per mode, but "
+                             f"mode {dims.index(1)} of dims {dims} has size 1")
         if k_max is None:
-            k_max = default_k_max(dims)
+            k_max = min(8, min(dims) - 1)
         if k_max < 1 or any(k_max > p - 1 for p in dims):
             raise ValueError(f"k_max={k_max} out of range for dims {dims}")
     else:
         ranks = _check_ranks(ranks, dims)
     loadings, spectra = [], []
-    for d, (p_d, cov) in enumerate(zip(dims, covs_fn())):
-        es = top_k_eigensystem(cov, p_d)
+    for d, (p_d, es) in enumerate(zip(dims, systems_fn())):
+        if not es.values[0] > 0:
+            raise ValueError(f"degenerate spectrum: mode {d} has top "
+                             f"eigenvalue {es.values[0]:.3g}")
         spectra.append(es.values)
         k_d = select_rank_from_eigenvalues(es.values, k_max) if auto else ranks[d]
         loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
     return loadings, spectra
 
 
-def _mode_covariances(x, mean):
-    """Every mode's covariance of ``x - mean`` (of ``x`` when ``mean`` is
-    None) from one pass of ``tensor._mode_grams``; equals
-    :func:`mode_covariance` of the centred series up to rounding."""
-    covs = []
-    for g in _mode_grams(x, mean)[0]:
-        m = g / x.size
-        covs.append((m + m.T) / 2.0)
-    return covs
+def _eigensystems(covs):
+    return [top_k_eigensystem(c, c.shape[0]) for c in covs]
 
 
 def _projected_covariances(x, loadings, center):
@@ -315,10 +348,20 @@ def _projected_covariances(x, loadings, center):
             for d in range(x.ndim - 1)]
 
 
-def _mopca_loadings(x, mean, ranks, k_max):
-    return _loadings_from_covariances(
-        x.shape[1:], ranks, k_max, lambda: _mode_covariances(x, mean)
-    )
+def _pca_loadings(moments, ranks, k_max):
+    return _loadings_from_spectra(moments.shape[1:], ranks, k_max,
+                                  lambda: moments.eigensystems)
+
+
+def _projected_start(moments, ranks, init, k_max):
+    """The projected fits' start and ranks: ``init`` fixes them under "auto"."""
+    if init is None:
+        init, _ = _pca_loadings(moments, ranks, k_max)
+    else:
+        init = [np.asarray(a, dtype=float) for a in init]
+        if not isinstance(ranks, str):
+            return init, _check_ranks(ranks, moments.shape[1:])
+    return init, tuple(a.shape[1] for a in init)
 
 
 def mopca_fit(
@@ -326,6 +369,7 @@ def mopca_fit(
     ranks="auto",
     center: bool = True,
     k_max: int | None = None,
+    *, moments: SeriesMoments | None = None,
 ) -> FactorFit:
     """Mode-wise PCA fit.
 
@@ -343,10 +387,13 @@ def mopca_fit(
         Subtract the temporal mean tensor before estimating.
     k_max : int, optional
         Ratio-rule search bound when ``ranks="auto"``.
+    moments : SeriesMoments, optional
+        ``series_moments(x, lags, center)`` with lag 0, shared with other
+        fits of ``x``; built here when omitted.  Every fit takes it.
     """
     x = _as_series(x)
-    mean = x.mean(axis=0) if center else None
-    loadings, spectra = _mopca_loadings(x, mean, ranks, k_max)
+    moments = _moments_for(x, moments, center, (0,))
+    loadings, spectra = _pca_loadings(moments, ranks, k_max)
     return FactorFit(
         loadings=loadings,
         factors=extract_factors(x, loadings, center),
@@ -354,7 +401,7 @@ def mopca_fit(
         iterations=0,
         converged=True,
         per_sweep_distance=[],
-        mean=mean,
+        mean=moments.mean,
     )
 
 
@@ -364,22 +411,22 @@ def pmopca_fit(
     init=None,
     center: bool = True,
     k_max: int | None = None,
+    *, moments: SeriesMoments | None = None,
 ) -> FactorFit:
     """Projected mode-wise PCA fit.
 
     Every mode's covariance is built from the series projected through the
     *frozen* initial loadings (mode-wise PCA estimates by default); one
-    eigendecomposition per mode then yields the refined loadings.
+    eigendecomposition per mode then yields the refined loadings.  An
+    ``init`` fixes the ranks under ``ranks="auto"``, as in
+    :func:`ipmopca_fit`.
     """
     x = _as_series(x)
-    mean = x.mean(axis=0) if center else None
-    if init is None:
-        init, _ = _mopca_loadings(x, mean, ranks, k_max)
-        ranks = tuple(a.shape[1] for a in init)
-    else:
-        init = [np.asarray(a, dtype=float) for a in init]
-    loadings, spectra = _loadings_from_covariances(
-        x.shape[1:], ranks, k_max, lambda: _projected_covariances(x, init, center)
+    moments = _moments_for(x, moments, center, (0,) if init is None else ())
+    init, ranks = _projected_start(moments, ranks, init, k_max)
+    loadings, spectra = _loadings_from_spectra(
+        x.shape[1:], ranks, k_max,
+        lambda: _eigensystems(_projected_covariances(x, init, center)),
     )
     dist = max(
         subspace_distance(new, old) for new, old in zip(loadings, init)
@@ -391,7 +438,7 @@ def pmopca_fit(
         iterations=1,
         converged=True,
         per_sweep_distance=[dist],
-        mean=mean,
+        mean=moments.mean,
     )
 
 
@@ -453,6 +500,7 @@ def ipmopca_fit(
     center: bool = True,
     k_max: int | None = None,
     stop_norm: str = "spectral",
+    *, moments: SeriesMoments | None = None,
 ) -> FactorFit:
     """Iterative projected mode-wise PCA fit.
 
@@ -466,16 +514,8 @@ def ipmopca_fit(
     the one-shot projected fit exactly.
     """
     x = _as_series(x)
-    mean = x.mean(axis=0) if center else None
-    if init is None:
-        init, _ = _mopca_loadings(x, mean, ranks, k_max)
-        ranks = tuple(a.shape[1] for a in init)
-    else:
-        init = [np.asarray(a, dtype=float) for a in init]
-        if isinstance(ranks, str):
-            ranks = tuple(a.shape[1] for a in init)
-        else:
-            ranks = _check_ranks(ranks, x.shape[1:])
+    moments = _moments_for(x, moments, center, (0,) if init is None else ())
+    init, ranks = _projected_start(moments, ranks, init, k_max)
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
         x,
         ranks,
@@ -493,7 +533,7 @@ def ipmopca_fit(
         iterations=sweeps,
         converged=converged,
         per_sweep_distance=history,
-        mean=mean,
+        mean=moments.mean,
     )
 
 

@@ -10,7 +10,10 @@ remaining metrics describe the whole fit and repeat across a fit's mode
 rows.  Aggregate rows with ``rep`` set to ``mean`` and ``sd`` follow the
 per-replication block.  Failures abort only their own replication: the
 row keeps the method and timing, leaves the metrics empty, and the error
-is logged.
+is logged.  ``seconds`` is a fit plus its signals; a replication's one
+moment pass (:func:`~tuckerfactor.estimation.series_moments`) is charged
+to the first method that reads it, so the seconds of a replication still
+sum to all its work.
 """
 
 from __future__ import annotations
@@ -21,18 +24,22 @@ import logging
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .baseline import estimate_ranks_tipup, itipup_fit
 from .estimation import (
-    EstimatorConfig,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     estimate_ranks,
     ipmopca_fit,
     mopca_fit,
     pmopca_fit,
     reconstruct_signals,
+    series_moments,
     varimax,
 )
 from .io import read_tensor_series
@@ -48,6 +55,75 @@ from .tensor import _chunks
 logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ["rep", "method", "mode", "distance_d", "rmse", "acc", "re", "seconds"]
+
+
+class Method(NamedTuple):
+    """A method's fit and rank selector, both called as ``(series, cfg,
+    moments)``, and ``lags(cfg)``, the moment lags that both read."""
+
+    fit: Callable
+    select_ranks: Callable
+    lags: Callable
+
+
+def _pca_ranks(x, cfg, moments):
+    return estimate_ranks(x, k_max=cfg.k_max, center=cfg.center, moments=moments)
+
+
+def _sweeps(cfg):
+    return {"tol": cfg.tol, "max_iter": cfg.max_iter,
+            "update_within_sweep": cfg.update_within_sweep}
+
+
+METHODS = {
+    "mopca": Method(
+        lambda x, c, m: mopca_fit(x, c.ranks, c.center, c.k_max, moments=m),
+        _pca_ranks, lambda c: (0,)),
+    "pmopca": Method(
+        lambda x, c, m: pmopca_fit(x, c.ranks, center=c.center, k_max=c.k_max,
+                                   moments=m),
+        _pca_ranks, lambda c: (0,)),
+    "ipmopca": Method(
+        lambda x, c, m: ipmopca_fit(x, c.ranks, center=c.center, k_max=c.k_max,
+                                    moments=m, **_sweeps(c)),
+        _pca_ranks, lambda c: (0,)),
+    "itipup": Method(
+        lambda x, c, m: itipup_fit(x, c.ranks, h0=c.lags, center=c.center,
+                                   k_max=c.k_max, moments=m, **_sweeps(c)),
+        lambda x, c, m: estimate_ranks_tipup(x, k_max=c.k_max, h0=c.lags,
+                                             center=c.center, moments=m),
+        lambda c: range(1, c.lags + 1)),
+}
+
+
+@dataclass
+class EstimatorConfig:
+    """Bundle of estimator options used by the experiment runner and CLI.
+
+    ``ranks`` may be an explicit tuple or ``"auto"`` to select ranks by
+    the eigenvalue-ratio rule with upper bound ``k_max`` (default
+    ``min(8, min_d p_d - 1)``).  ``lags`` only matters for the
+    auto-covariance baseline.
+    """
+
+    method: str = "mopca"
+    ranks: tuple[int, ...] | str = "auto"
+    k_max: int | None = None
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    update_within_sweep: bool = True
+    center: bool = True
+    lags: int = 1
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.lags < 1:
+            raise ValueError("lags must be at least 1")
 
 
 @dataclass
@@ -93,43 +169,24 @@ class ExperimentConfig:
         return cfg
 
 
-def _fit_method(method, series, cfg: EstimatorConfig):
-    if method == "mopca":
-        return mopca_fit(series, ranks=cfg.ranks, center=cfg.center,
-                         k_max=cfg.k_max)
-    if method == "pmopca":
-        return pmopca_fit(series, ranks=cfg.ranks, center=cfg.center,
-                          k_max=cfg.k_max)
-    if method == "ipmopca":
-        return ipmopca_fit(series, ranks=cfg.ranks, tol=cfg.tol,
-                           max_iter=cfg.max_iter,
-                           update_within_sweep=cfg.update_within_sweep,
-                           center=cfg.center, k_max=cfg.k_max)
-    if method == "itipup":
-        return itipup_fit(series, ranks=cfg.ranks, h0=cfg.lags, tol=cfg.tol,
-                          max_iter=cfg.max_iter,
-                          update_within_sweep=cfg.update_within_sweep,
-                          center=cfg.center, k_max=cfg.k_max)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _select_ranks(method, series, cfg: EstimatorConfig):
-    if method == "itipup":
-        return estimate_ranks_tipup(series, k_max=cfg.k_max, h0=cfg.lags,
-                                    center=cfg.center)
-    return estimate_ranks(series, k_max=cfg.k_max, center=cfg.center)
-
-
-def _evaluate(method, rep, series, truth, cfg) -> tuple[EvalReport, object]:
+def _evaluate(method, rep, series, truth, cfg, shared=None,
+              lags=()) -> tuple[EvalReport, object]:
+    """Fit and score one method.  ``shared`` maps a ``center`` flag to the
+    replication's moments; the first method to need one builds it at
+    ``lags`` inside its timer, so the reports' seconds sum to all the work."""
     start = time.perf_counter()
     try:
-        fit = _fit_method(method, series, cfg)
+        spec = METHODS[method]
+        if shared is not None and cfg.center not in shared:
+            shared[cfg.center] = series_moments(series, lags, cfg.center)
+        moments = None if shared is None else shared[cfg.center]
+        fit = spec.fit(series, cfg, moments)
         s_hat = fit.signals  # built on first access: timed with the fit
         seconds = time.perf_counter() - start
         # an automatic fit already applied the ratio rule; only explicit
         # ranks need a separate, untimed selection
         ranks_est = (fit.ranks if isinstance(cfg.ranks, str)
-                     else _select_ranks(method, series, cfg))
+                     else spec.select_ranks(series, cfg, moments))
     except Exception as exc:  # noqa: BLE001 - a failed rep must not kill the run
         seconds = time.perf_counter() - start
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
@@ -204,6 +261,10 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
 
     d_count = (len(config.sim.dims) if config.sim is not None
                else input_series.ndim - 1)
+    lags = {}  # center flag -> every lag its methods read from the moments
+    for method in config.methods:
+        cfg = config.estimator_for(method)
+        lags.setdefault(cfg.center, set()).update(METHODS[method].lags(cfg))
     reports: list[EvalReport] = []
     rows: list[list[str]] = []
     for rep in range(config.replications):
@@ -211,9 +272,11 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
             series, truth = simulate_dataset(config.sim, rep)
         else:
             series, truth = input_series, None
+        shared = {}  # one moment pass per replication and center flag
         for method in config.methods:
             cfg = config.estimator_for(method)
-            report, fit = _evaluate(method, rep, series, truth, cfg)
+            report, fit = _evaluate(method, rep, series, truth, cfg, shared,
+                                    lags[cfg.center])
             reports.append(report)
             if report.error is not None:
                 rows.append([str(rep), method, "", "", "", "", "",
@@ -347,8 +410,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
         EstimatorConfig(),
         "mopca",
     )
+    # every method's config, so a --methods override keeps [estimator]
     estimators = {}
-    for method in methods:
+    for method in METHODS:
         section_name = f"estimator.{method}"
         section = parser[section_name] if section_name in parser else None
         estimators[method] = _estimator_from_section(section, base, method)

@@ -18,6 +18,7 @@ from tuckerfactor import (
     reconstruct_signals,
     reconstruction_error,
     scenario_config,
+    series_moments,
     simulate_dataset,
     tensor,
     top_k_eigensystem,
@@ -25,7 +26,7 @@ from tuckerfactor import (
     write_tensor_series,
 )
 from tuckerfactor.cli import main
-from tuckerfactor.experiment import _fit_method
+from tuckerfactor.experiment import METHODS
 
 
 @pytest.fixture
@@ -68,16 +69,18 @@ class TestRank:
         # mode's raw spectrum (the fixture's has rounding-level negatives)
         # from the fits' own centred pass
         series = read_tensor_series(noiseless_file)
-        mean = series.mean(axis=0)
         if method == "itipup":
             ranks = estimate_ranks_tipup(series, center=True)
-            covs = baseline._tipup_matrices(series, mean, 1)
+            moments = series_moments(series, (1,), center=True)
+            covs = [baseline._lag_sum(series, d + 1, 1, series[0].size,
+                                      [moments.grams[1][d]]) for d in range(3)]
         else:
             ranks = estimate_ranks(series, center=True)
-            covs = estimation._mode_covariances(series, mean)
+            systems = series_moments(series, (0,), center=True).eigensystems
         lines = [",".join(map(str, ranks))]
         for d in range(3):
-            values = top_k_eigensystem(covs[d], 10).values
+            values = (top_k_eigensystem(covs[d], 10) if method == "itipup"
+                      else systems[d]).values
             lines.append(f"mode {d + 1} eigenvalues: "
                          + " ".join(f"{v:.6g}" for v in values))
         passes, grams, read = [], [], []
@@ -92,9 +95,8 @@ class TestRank:
             read.append(read_tensor_series(path))
             return read[-1]
 
-        for module in (estimation, baseline):
-            monkeypatch.setattr(module, "_mode_grams",
-                                counting(passes, tensor._mode_grams))
+        monkeypatch.setattr(estimation, "_mode_grams",
+                            counting(passes, tensor._mode_grams))
         monkeypatch.setattr(tensor, "_mode_gram", counting(grams, tensor._mode_gram))
         monkeypatch.setattr(cli, "read_tensor_series", reading)
         assert main(["rank", noiseless_file, "--method", method]) == 0
@@ -201,7 +203,8 @@ class TestOneCopyPipeline:
         path, series = data
         assert main(["estimate", path, "--method", method,
                      "--out", str(tmp_path / "cli")]) == 0
-        fit = _fit_method(method, series, EstimatorConfig(method=method, center=True))
+        fit = METHODS[method].fit(series, EstimatorConfig(method=method, center=True),
+                                  None)
         write_loadings(tmp_path / "ref", fit.loadings)
         write_tensor_series(tmp_path / "ref.cores", fit.factors)
         for suffix in ("A1", "A2", "A3", "cores"):
@@ -359,6 +362,51 @@ lags = 2
             lags=2)
         assert estimators["mopca"] == EstimatorConfig(
             method="mopca", ranks=(2, 1), tol=1e-3, max_iter=7, center=False)
+
+    def test_methods_flag_keeps_the_estimator_section(self, tmp_path, monkeypatch):
+        # a method the file does not list still gets the [estimator] options
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("[experiment]\nmethods = mopca\n[simulation]\nT = 10\n"
+                       "dims = 6, 6\nranks = 2, 2\n[estimator]\nranks = 1,1\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert main(["bench", str(cfg), "--methods", "mopca,pmopca"]) == 0
+        assert seen[0].methods == ["mopca", "pmopca"]
+        for method in ("mopca", "pmopca"):
+            assert seen[0].estimator_for(method) == EstimatorConfig(
+                method=method, ranks=(1, 1))
+
+
+class TestTypedErrorExitCodes:
+    """Each input the fits reject by name exits with the numeric-error code."""
+
+    def _estimate(self, tmp_path, capsys, series, *flags):
+        path = tmp_path / "data.tnsf"
+        write_tensor_series(path, series)
+        rc = main(["estimate", str(path), "--out", str(tmp_path / "fit"), *flags])
+        return rc, capsys.readouterr().err
+
+    def test_complex_input(self, tmp_path, capsys, monkeypatch):
+        # the file format holds reals only, so the reader is stood in for
+        series = np.ones((5, 4, 3)) * (1 + 1j)
+        monkeypatch.setattr(cli, "read_tensor_series", lambda path: series)
+        assert main(["estimate", "data.tnsf", "--out", str(tmp_path / "fit")]) == 3
+        assert "complex input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("series", [np.ones((5, 4, 3)),
+                                        np.arange(12.0).reshape(1, 4, 3)],
+                             ids=["constant", "single-observation"])
+    def test_degenerate_spectrum_with_explicit_ranks(self, tmp_path, capsys, series):
+        rc, err = self._estimate(tmp_path, capsys, series, "--ranks", "1,1")
+        assert rc == 3
+        assert "degenerate spectrum" in err
+        assert not (tmp_path / "fit.A1").exists()
+
+    def test_auto_ranks_on_a_size_one_mode(self, tmp_path, capsys, rng):
+        rc, err = self._estimate(tmp_path, capsys, rng.standard_normal((8, 6, 1, 4)))
+        assert rc == 3
+        assert "mode 1 of dims (6, 1, 4) has size 1" in err
 
 
 class TestExitCodes:

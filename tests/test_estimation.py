@@ -331,6 +331,47 @@ class TestIpmopca:
         assert diff > 0
 
 
+class TestInitFixesRanks:
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_auto_keeps_the_ranks_of_init(self, fit_fn):
+        # the projected spectra alone would select the true ranks (2, 3, 4)
+        series, _ = simulate_dataset(scenario_config("II", 20, (20, 20, 20), seed=1))
+        init = mopca_fit(series, (2, 2, 2)).loadings
+        assert estimate_ranks(series, loadings=init, center=True) == (2, 3, 4)
+        assert fit_fn(series, init=init).ranks == (2, 2, 2)
+        assert fit_fn(series, (2, 3, 4), init=init).ranks == (2, 3, 4)
+
+
+FITS_AND_SELECTOR = [mopca_fit, pmopca_fit, ipmopca_fit, itipup_fit, estimate_ranks]
+
+
+class TestTypedErrors:
+    """Input that leaves nothing to estimate fails with a named error
+    before any loadings are returned."""
+
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
+    def test_complex_input(self, rng, fit_fn):
+        x = rng.standard_normal((6, 4, 3)) * (1 + 1j)
+        with pytest.raises(ValueError, match="complex input"):
+            fit_fn(x)
+
+    @pytest.mark.parametrize("x", [np.ones((5, 4, 3)), np.arange(12.0).reshape(1, 4, 3)],
+                             ids=["constant", "single-observation"])
+    @pytest.mark.parametrize("fit_fn", [mopca_fit, pmopca_fit, ipmopca_fit])
+    def test_degenerate_spectrum_with_explicit_ranks(self, x, fit_fn):
+        with pytest.raises(ValueError, match="degenerate spectrum: mode 0"):
+            fit_fn(x, (1, 1))
+
+    def test_degenerate_lag_spectrum_with_explicit_ranks(self):
+        with pytest.raises(ValueError, match="degenerate spectrum: mode 0"):
+            itipup_fit(np.ones((5, 4, 3)), (1, 1))
+
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
+    def test_auto_ranks_on_a_size_one_mode(self, rng, fit_fn):
+        with pytest.raises(ValueError, match="mode 1 of dims \\(6, 1, 4\\) has size 1"):
+            fit_fn(rng.standard_normal((8, 6, 1, 4)))
+
+
 class TestEstimateRanks:
     def test_noiseless_truth(self, rng):
         x, _, _ = make_noiseless_series(rng, 10, (10, 10, 10), (2, 3, 4))

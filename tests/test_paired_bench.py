@@ -1,0 +1,65 @@
+"""Tests for the summary of ``tools/paired_bench.py``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+_SPEC = importlib.util.spec_from_file_location("paired_bench", _PATH)
+paired_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(paired_bench)
+
+LOWER = [{"name": "fit_s", "better": "lower"}]
+
+
+def pairs_of(parent, change, name="fit_s"):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+def test_quartiles():
+    assert paired_bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert paired_bench.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_clear_gain_is_shown():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.1, 9.9]
+    s = paired_bench.summarize(pairs_of(parent, [p - 2.0 for p in parent]), LOWER)
+    s = s["fit_s"]
+    assert (s["pairs"], s["wins"], s["losses"], s["ties"]) == (10, 10, 0, 0)
+    assert s["parent"]["median"] == pytest.approx(10.0)
+    assert s["change"]["median"] == pytest.approx(8.0)
+    assert s["median_gain"] == pytest.approx(2.0)
+    assert s["parent_iqr"] == pytest.approx(10.1 - 9.9)
+    assert s["gain_shown"]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs():
+    parent = [10.0] * 10
+    change = [8.0] * 8 + [10.0, 12.0]  # one tie, one loss
+    s = paired_bench.summarize(pairs_of(parent, change), LOWER)["fit_s"]
+    assert (s["wins"], s["losses"], s["ties"]) == (8, 1, 1)
+    assert not s["gain_shown"]
+
+
+def test_gain_must_exceed_the_parent_spread():
+    parent = [8.0, 12.0] * 5
+    change = [p - 0.5 for p in parent]  # wins every pair, inside the spread
+    s = paired_bench.summarize(pairs_of(parent, change), LOWER)["fit_s"]
+    assert s["wins"] == 10 and s["parent_iqr"] == pytest.approx(4.0)
+    assert not s["gain_shown"]
+
+
+def test_higher_is_better_and_missing_metrics_are_skipped():
+    metrics = [{"name": "reps_per_s", "better": "higher"},
+               {"name": "absent", "better": "lower"}]
+    pairs = pairs_of([5.0] * 10, [6.0] * 9 + [4.0], name="reps_per_s")
+    s = paired_bench.summarize(pairs, metrics)
+    assert set(s) == {"reps_per_s"}
+    assert (s["reps_per_s"]["wins"], s["reps_per_s"]["losses"]) == (9, 1)
+    assert s["reps_per_s"]["median_gain"] == pytest.approx(1.0)
+    assert s["reps_per_s"]["gain_shown"]
+
+
+def test_seed_ranges():
+    assert paired_bench._seeds("1-3,7") == [1, 2, 3, 7]

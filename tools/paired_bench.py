@@ -1,0 +1,165 @@
+"""Paired benchmark runs: a parent commit against the working tree.
+
+Usage, from the root of a checkout:
+
+    python3 tools/paired_bench.py --workload study-small --parent HEAD~1 \\
+        --seeds 1-10 --held-out 4242
+
+The parent is exported with ``git archive`` into a temporary directory.
+For each seed, ``perfbench/run.py`` runs once there and once in the
+working tree, alternating which side goes first (the parent first in
+the first pair), with the run length of ``BENCHMARK.json`` unless
+``--seconds`` says otherwise.  Held-out seeds run the same way after the
+others and are kept apart from the summary.
+
+The result goes to ``BENCH_<workload>_pairs.json`` (or ``--out``): every
+run's metrics, correctness and detail line; for each end-to-end metric
+of ``BENCHMARK.json``, each side's median and quartiles, the pairs the
+working tree won, lost and tied, and whether the gain rule holds (wins
+in at least nine tenths of the pairs, and medians apart by more than the
+parent's interquartile range, in the metric's better direction).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """``(q1, median, q3)`` of ``values``, interpolating between samples."""
+    values = sorted(values)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs, metrics):
+    """Per-metric comparison of ``pairs`` of ``{"parent": {name: value},
+    "change": {name: value}}``.
+
+    ``metrics`` lists ``{"name", "better"}`` entries, ``better`` being
+    ``"lower"`` or ``"higher"``.  A pair missing the metric on either side
+    is left out of that metric's counts.
+    """
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        both = [(p["parent"][name], p["change"][name]) for p in pairs
+                if name in p["parent"] and name in p["change"]]
+        if not both:
+            continue
+        parent, change = zip(*both)
+        wins = sum(sign * (c - p) < 0 for p, c in both)
+        losses = sum(sign * (c - p) > 0 for p, c in both)
+        q = {"parent": quartiles(parent), "change": quartiles(change)}
+        gain = sign * (q["parent"][1] - q["change"][1])
+        parent_iqr = q["parent"][2] - q["parent"][0]
+        out[name] = {
+            "better": metric["better"],
+            "pairs": len(both),
+            "wins": wins,
+            "losses": losses,
+            "ties": len(both) - wins - losses,
+            **{side: dict(zip(("q1", "median", "q3"), q[side])) for side in q},
+            "median_gain": gain,
+            "parent_iqr": parent_iqr,
+            "gain_shown": wins >= 0.9 * len(both) and gain > parent_iqr,
+        }
+    return out
+
+
+def _seeds(text):
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def run_once(root, workload, seed, seconds):
+    """One ``perfbench/run.py`` run in checkout ``root``; its result line
+    with the metric values flattened, plus its detail line."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"run.py failed in {root} (seed {seed}): {done.stderr}")
+    result = json.loads(lines[-1])
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    result["detail"] = json.loads(lines[-2])["detail"]
+    return result
+
+
+def run_pairs(parent_root, workload, seeds, seconds, first_pair=0):
+    pairs = []
+    for i, seed in enumerate(seeds, first_pair):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            pair[side] = run_once(parent_root if side == "parent" else ROOT,
+                                  workload, seed, seconds)
+            print(f"{workload} seed {seed} {side}: "
+                  f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def _values(pairs):
+    return [{side: p[side]["metrics"] for side in ("parent", "change")}
+            for p in pairs]
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", required=True, help="git revision to compare with")
+    parser.add_argument("--seeds", type=_seeds, required=True,
+                        help="seeds of the pairs, e.g. 1-10 or 3,5,8")
+    parser.add_argument("--held-out", type=_seeds, default=[],
+                        help="seeds run after the pairs, outside the summary")
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        pairs = run_pairs(tmp, args.workload, args.seeds, args.seconds)
+        held_out = run_pairs(tmp, args.workload, args.held_out, args.seconds,
+                             first_pair=len(pairs))
+    report = {
+        "workload": args.workload,
+        "parent": sha,
+        "seconds": args.seconds,
+        "summary": summarize(_values(pairs), bench["end_to_end"]),
+        "held_out_summary": summarize(_values(held_out), bench["end_to_end"]),
+        "pairs": pairs,
+        "held_out": held_out,
+    }
+    out = args.out or ROOT / f"BENCH_{args.workload}_pairs.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    for name, s in report["summary"].items():
+        print(f"{name}: parent {s['parent']['median']:.6g} "
+              f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
+              f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, "
+              f"{s['change']['q3']:.6g}]; wins {s['wins']}/{s['pairs']}, "
+              f"gain shown: {s['gain_shown']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,7 +47,7 @@ from .io import (
 )
 from .metrics import _reconstruction_sums, _relative_error
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .tensor import _chunks
+from .tensor import _pieces
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -263,7 +263,7 @@ def _cmd_reconstruct(args) -> int:
         with out:
             if args.out is not None:
                 out.write(_header(series.shape))
-            for s in _chunks(series.shape):
+            for s in _pieces(series.shape):
                 x = series[s]
                 xc = x - mean if center else x
                 signals = reconstruct_signals(extract_factors(xc, loadings), loadings)
@@ -295,6 +295,11 @@ def _cmd_bench(args) -> int:
         config.sim.seed = args.seed
     if args.methods is not None:
         config.methods = [m.strip() for m in args.methods.replace(",", " ").split()]
+    unknown = [m for m in config.methods if m not in METHODS]
+    if unknown:  # from the file or the flag: a usage error, before any output
+        print(f"tuckerfactor bench: error: unknown method {unknown[0]!r} "
+              f"(choose from {', '.join(METHODS)})", file=sys.stderr)
+        return USAGE_EXIT
     # one replace per config, so the overrides are validated like the file
     overrides = {}
     for field, value in (("k_max", args.kmax), ("tol", args.tol),

@@ -20,13 +20,16 @@ for loading interpretation round out the module.
 
 Centring holds the series once: no estimator builds ``X_t - mean``.
 The mean and the mode covariances come from :func:`series_moments`, one
-pass over chunks of whole tensors (``tensor._mode_grams``) that centres
-each chunk into a reused buffer and accumulates every mode's Gram matrix
-from it.  Its :class:`SeriesMoments` can be passed to several fits of
-one series as ``moments=``, so they share that pass and the mode
-spectra.  Projections and factors are centred after projecting: by
-linearity ``P(X_t - mean) = P(X_t) - mean_s P(X_s)``, so the small
-projected stack's own temporal mean is subtracted.
+pass (``tensor._mode_grams``) that centres the series piece by piece
+into reused buffers and accumulates every mode's Gram matrix from them.
+Its :class:`SeriesMoments` can be passed to several fits of one series
+as ``moments=``, so they share that pass and the mode spectra.
+Projections and factors are taken one run of whole tensors at a time
+and centred after projecting: by linearity ``P(X_t - mean) = P(X_t) -
+mean_s P(X_s)``, so the small projected stack's own temporal mean is
+subtracted.  A piece holds at most ``tensor._CHUNK_ELEMS`` elements, a
+window of one tensor when a tensor is larger, so a fit's temporaries
+are a few pieces plus one tensor, the mean, at any tensor size.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import EigenSystem, subspace_distance, top_k_eigensystem
-from .tensor import _mode_gram, _mode_grams, mode_product, multi_mode_product
+from .tensor import _mode_gram, _mode_grams, _pieces, mode_product, multi_mode_product
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -154,16 +157,19 @@ def projected_series(x: np.ndarray, loadings, mode: int,
                 f"loading for mode {d} has {a.shape[0]} rows, data has {x.shape[d + 1]}"
             )
     p_other = math.prod(x.shape[1:]) // x.shape[mode + 1]
-    y = x
-    for d in range(d_count):
-        if d == mode:
-            continue
-        y = mode_product(y, loadings[d].T, d + 1)
+    k_other = math.prod(a.shape[1] for d, a in enumerate(loadings) if d != mode)
     # per-observation mode-d unfolding of the projected stack, batched:
     # mode d first, then the other modes reversed, so a C-order reshape
     # enumerates them lowest mode fastest (the unfold column convention)
     axes = [0, mode + 1] + [a for a in range(d_count, 0, -1) if a != mode + 1]
-    y = y.transpose(axes).reshape(x.shape[0], x.shape[mode + 1], -1) / p_other
+    y = np.empty((x.shape[0], x.shape[mode + 1], k_other))
+    for (s,) in _pieces(x.shape):  # runs of whole tensors
+        z = x[s]
+        for d in range(d_count):
+            if d != mode:
+                z = mode_product(z, loadings[d].T, d + 1)
+        z = z.transpose(axes)
+        np.divide(z, p_other, out=y[s].reshape(z.shape))
     if center:
         y -= np.add.reduce(y, axis=0) / y.shape[0]  # y.mean(axis=0), one call
     return y
@@ -175,7 +181,16 @@ def projected_mode_covariance(x: np.ndarray, loadings, mode: int,
     (of the centred series with ``center``, see :func:`projected_series`)."""
     y = projected_series(x, loadings, mode, center)
     m = _mode_gram(y, y, 1) / (y.shape[0] * y.shape[1])
+    _check_finite([m])
     return (m + m.T) / 2.0
+
+
+def _check_finite(mats):
+    """Raise on non-finite moments: a NaN or inf anywhere in a series
+    reaches the diagonal of every Gram matrix built from all of it."""
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ValueError("the series has non-finite entries (NaN or inf), "
+                         "or its moments overflow")
 
 
 def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray:
@@ -185,10 +200,13 @@ def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray
     own temporal mean is subtracted, so no centred series is built.
     """
     x = _as_series(x)
-    d_count = x.ndim - 1
+    loadings = [np.asarray(a) for a in loadings]
     p = math.prod(x.shape[1:])
-    modes = list(range(1, d_count + 1))
-    f = multi_mode_product(x, loadings, modes=modes, transpose=True) / p
+    modes = list(range(1, x.ndim))
+    f = np.empty((x.shape[0],) + tuple(a.shape[1] for a in loadings))
+    for (s,) in _pieces(x.shape):  # runs of whole tensors
+        np.divide(multi_mode_product(x[s], loadings, modes=modes, transpose=True),
+                  p, out=f[s])
     if center:
         f -= np.add.reduce(f, axis=0) / f.shape[0]  # f.mean(axis=0), one call
     return f
@@ -261,6 +279,7 @@ def series_moments(x, lags=(0,), center: bool = True) -> SeriesMoments:
         raise ValueError(f"lags must be nonnegative, got {lags}")
     mean = x.mean(axis=0) if center else None
     grams = dict(zip(lags, map(tuple, _mode_grams(x, mean, lags)))) if lags else {}
+    _check_finite(g for gs in grams.values() for g in gs)
     for a in [g for gs in grams.values() for g in gs] + ([] if mean is None else [mean]):
         a.flags.writeable = False
     return SeriesMoments(x.shape, center, lags, mean, grams)
@@ -353,14 +372,29 @@ def _pca_loadings(moments, ranks, k_max):
                                   lambda: moments.eigensystems)
 
 
+def _check_init(init, dims):
+    """``init`` as float matrices, checked before any pass over the series:
+    one per mode, with ``p_d`` rows, finite and of full column rank."""
+    if init is None:
+        return None
+    init = [np.asarray(a, dtype=float) for a in init]
+    if len(init) != len(dims):
+        raise ValueError(f"init has {len(init)} matrices for {len(dims)} modes")
+    for d, (a, p_d) in enumerate(zip(init, dims)):
+        if a.ndim != 2 or a.shape[0] != p_d or a.shape[1] < 1:
+            raise ValueError(f"init for mode {d} has shape {a.shape}; it needs "
+                             f"{p_d} rows and at least one column")
+        if not np.isfinite(a).all() or np.linalg.matrix_rank(a) < a.shape[1]:
+            raise ValueError(f"init for mode {d} is not finite and of full column rank")
+    return init
+
+
 def _projected_start(moments, ranks, init, k_max):
     """The projected fits' start and ranks: ``init`` fixes them under "auto"."""
     if init is None:
         init, _ = _pca_loadings(moments, ranks, k_max)
-    else:
-        init = [np.asarray(a, dtype=float) for a in init]
-        if not isinstance(ranks, str):
-            return init, _check_ranks(ranks, moments.shape[1:])
+    elif not isinstance(ranks, str):
+        return init, _check_ranks(ranks, moments.shape[1:])
     return init, tuple(a.shape[1] for a in init)
 
 
@@ -422,6 +456,7 @@ def pmopca_fit(
     :func:`ipmopca_fit`.
     """
     x = _as_series(x)
+    init = _check_init(init, x.shape[1:])
     moments = _moments_for(x, moments, center, (0,) if init is None else ())
     init, ranks = _projected_start(moments, ranks, init, k_max)
     loadings, spectra = _loadings_from_spectra(
@@ -514,6 +549,7 @@ def ipmopca_fit(
     the one-shot projected fit exactly.
     """
     x = _as_series(x)
+    init = _check_init(init, x.shape[1:])
     moments = _moments_for(x, moments, center, (0,) if init is None else ())
     init, ranks = _projected_start(moments, ranks, init, k_max)
     loadings, eigvals, sweeps, converged, history = iterate_projected_fit(

@@ -50,7 +50,7 @@ from .metrics import (
     rank_accuracy,
 )
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .tensor import _chunks
+from .tensor import _pieces
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +198,7 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
     # full-size operands.  A one-chunk series shares the cached truth
     # signals across methods.
     re_sums, rmse_num = (0.0, 0.0), 0.0
-    chunks = _chunks(series.shape)
+    chunks = _pieces(series.shape)
     for s in chunks:
         re_sums = _reconstruction_sums(series[s], s_hat[s], *re_sums, fit.mean)
         if truth is not None:
@@ -252,6 +252,10 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
     a fixed seed apart from the ``seconds`` column.  Returns the list of
     per-fit reports.
     """
+    lags = {}  # center flag -> every lag its methods read from the moments
+    for method in config.methods:  # an unknown method raises here, before any output
+        cfg = config.estimator_for(method)
+        lags.setdefault(cfg.center, set()).update(METHODS[method].lags(cfg))
     os.makedirs(config.out_dir, exist_ok=True)
     if csv_path is None:
         csv_path = os.path.join(config.out_dir, "results.csv")
@@ -261,10 +265,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
 
     d_count = (len(config.sim.dims) if config.sim is not None
                else input_series.ndim - 1)
-    lags = {}  # center flag -> every lag its methods read from the moments
-    for method in config.methods:
-        cfg = config.estimator_for(method)
-        lags.setdefault(cfg.center, set()).update(METHODS[method].lags(cfg))
     reports: list[EvalReport] = []
     rows: list[list[str]] = []
     for rep in range(config.replications):

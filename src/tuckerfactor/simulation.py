@@ -12,9 +12,11 @@ deterministic function of ``(seed, r)`` and independent of how many other
 replications run.  Within one dataset the draw order is fixed: loadings
 mode by mode, then the core path, then the noise path.
 
-Memory: the noise path is drawn in one call and coloured in place, and
-the signals are added to it in place, both over chunks of whole tensors,
-so a dataset holds its series once plus a few chunk-sized temporaries.
+Memory: the noise path is drawn in one call and becomes the series.  It
+is coloured, run through the AR(1) recursion and given its signals in
+place, piece by piece (``tensor._pieces``), so a dataset holds its series
+once plus the pre-sample state tensor and a few temporaries of at most
+``tensor._CHUNK_ELEMS`` elements each, at any tensor size.
 ``SimTruth.signals`` is built on first access.
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .estimation import reconstruct_signals
 from .spectral import thin_left_singular
-from .tensor import _chunks, mode_product
+from .tensor import _pieces, mode_product
 
 # (phi, psi) per scenario: factor / noise AR(1) coefficients
 SCENARIOS = {
@@ -162,21 +164,26 @@ def simulate_noise_path(T: int, dims, psi: float,
 
     def innovation(n):
         z = rng.standard_normal((n,) + dims)
-        for s in _chunks(z.shape):
-            c = z[s]
-            for d, l in enumerate(chol):
-                c = mode_product(c, l, d + 1)
-            z[s] = c
+        # mode 1 first, as on the whole array: on pieces that hold whole
+        # mode-1 fibres, then the other modes on pieces along the first axis
+        for axis, first, stop in ((2, 0, 1), (1, 1, len(dims))):
+            for s in _pieces(z.shape, axis):
+                c = z[s]
+                for d in range(first, stop):
+                    c = mode_product(c, chol[d], d + 1)
+                z[s] = c
         return z
 
     scale = np.sqrt(1.0 - psi * psi)
-    state = innovation(1)[0]
+    state = innovation(1)
     # in place on the innovations; IEEE addition commutes, so bits are kept
     out = innovation(T)
-    for t in range(T):
-        out[t] *= scale
-        out[t] += psi * state
-        state = out[t]
+    for s in _pieces(out.shape, 1):
+        window = s[1:]
+        for t in range(s[0].start, min(s[0].stop, T)):
+            piece = out[t][window]
+            piece *= scale
+            piece += psi * (out[t - 1][window] if t else state[0][window])
     return out
 
 
@@ -194,8 +201,10 @@ def simulate_dataset(config: SimConfig, replication: int = 0):
     # the signals draw no random numbers, so forming them after the noise
     # keeps the draw order and lets the noise array become the series
     series = simulate_noise_path(config.T, config.dims, config.psi, rng)
-    for s in _chunks(series.shape):
-        series[s] += reconstruct_signals(cores[s], loadings)
+    for s in _pieces(series.shape, 1):
+        # a window along the first axis takes its rows of the mode-1 loadings
+        rows = [a[w] for a, w in zip(loadings, s[1:])] + loadings[len(s) - 1:]
+        series[s] += reconstruct_signals(cores[s[0]], rows)
     truth = SimTruth(
         loadings=loadings,
         cores=cores,

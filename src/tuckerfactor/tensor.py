@@ -15,6 +15,14 @@ mode Gram matrices behind the covariance estimators) view a C-contiguous
 array as ``(A, p_d, B)`` around the contracted axis and hand that view to
 BLAS, so no unfolding is ever copied.  Only non-contiguous input is
 copied, once, by that reshape; results are C-contiguous.
+
+Memory budget: every full-series pass from the simulator through the
+fits (noise colouring and assembly, the moment pass, the projections)
+walks the series in the pieces of :func:`_pieces`, each of at most
+``_CHUNK_ELEMS`` elements at any tensor size: runs of whole tensors, or
+windows of one tensor that is larger than the budget.  Their temporaries
+are a few pieces, plus one tensor: a fit's mean, or the simulator's
+pre-sample noise state.
 """
 
 from __future__ import annotations
@@ -27,10 +35,12 @@ import numpy as np
 # one batched matmul builds before it is summed; bounds that temporary
 _BATCH_ELEMS = 1 << 16
 
-# elements in one chunk of whole tensors that a series is transformed in
-# (simulator assembly, the fits' centred Gram pass, evaluation, CLI
-# reconstruction); bounds the temporaries to a few chunks, and a small
-# series stays one chunk with no per-tensor loop
+# elements in one piece of a series (see _pieces), the one memory budget:
+# the simulator and the fits hold a few pieces besides the series, plus
+# one tensor (the mean or the pre-sample state), at any tensor size, and a
+# small series stays one piece with no per-tensor loop; evaluation and CLI
+# reconstruction take runs of whole tensors, so there a piece is at least
+# one tensor
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -104,15 +114,40 @@ def _split(shape, axis):
     return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
 
 
-def _chunks(shape) -> list[slice]:
-    """Slices of the leading axis of ``shape``, each spanning whole tensors
-    of at most ``_CHUNK_ELEMS`` elements (one tensor when a tensor is larger).
+def _pieces(shape, axis=0) -> list[tuple[slice, ...]]:
+    """Index tuples that cover a series of ``shape`` piece by piece.
 
-    A mode product of a chunk gives the bits of the same rows of the whole
-    array's mode product, so a chunked pass matches a whole-array one.
+    A piece keeps every axis of the series, so it is indexed like the
+    series.  With ``axis`` 0, or while one tensor fits ``_CHUNK_ELEMS``,
+    the pieces are runs of whole tensors of at most that many elements
+    (one tensor when a tensor is larger).  Otherwise a tensor is cut into
+    windows along series axis ``axis``, of whole slabs across it: windows
+    along axis 1 hold whole fibres of modes 2..D, windows along axis 2
+    whole mode-1 fibres.  A window has at least two slabs (where the axis
+    has two) and at most the budget, or three slabs when fewer fill it.
+    Windows come window by window, each for ``t = 0..T-1`` in turn, so a
+    window's lag partners are its neighbours.
+
+    A mode product of a piece along a mode that it holds whole gives the
+    bits of the same entries of the whole array's mode product, so a
+    piecewise pass matches a whole-array one.
     """
-    step = max(1, _CHUNK_ELEMS // math.prod(shape[1:]))
-    return [slice(i, i + step) for i in range(0, shape[0], step)]
+    size = math.prod(shape[1:])
+    if axis == 0 or size <= _CHUNK_ELEMS or axis >= len(shape):
+        step = max(1, _CHUNK_ELEMS // size)
+        return [(slice(i, i + step),) for i in range(0, shape[0], step)]
+    # at least two slabs a window: BLAS takes a product with one row or
+    # column to another kernel, whose bits differ from the whole array's
+    width = max(2, _CHUNK_ELEMS // (size // shape[axis]))
+    starts = list(range(0, shape[axis], width))
+    if len(starts) > 1 and shape[axis] - starts[-1] == 1:
+        # a one-slab tail takes a slab from the window before it, or
+        # joins it when that has only two
+        starts[-1:] = [starts[-1] - 1] if width > 2 else []
+    lead = (slice(None),) * (axis - 1)
+    return [(slice(t, t + 1), *lead, slice(j, k))
+            for j, k in zip(starts, starts[1:] + [shape[axis]])
+            for t in range(shape[0])]
 
 
 def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -141,16 +176,25 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     Returns ``grams[i][d] = _mode_gram(z[:T - h], z[h:], d + 1)`` for
     ``h = lags[i]`` and ``z = x - mean`` (``x`` itself when ``mean`` is
     None), for a C-contiguous series ``x`` of shape ``(T, p_1, ..., p_D)``.
-    Each chunk of whole tensors, plus the ``max(lags)`` tensors after it,
-    is centred once into one reused buffer, and all modes' products are
-    taken from there, so the centred series is never held whole.
+    The centred series is never held whole.  While a tensor fits
+    ``_CHUNK_ELEMS``, each run of whole tensors, plus the ``max(lags)``
+    tensors after it, is centred once into one reused buffer, and all
+    modes' products are taken from there.  A larger tensor is read twice,
+    in windows (:func:`_pieces`): mode 1 from windows along its second
+    axis, the other modes from windows along its first, centred with mode 2
+    moved in front, so that modes 1, 2 and D each take one BLAS call per
+    window.  Each window is centred once into a ring of ``max(lags) + 1``
+    window buffers, which holds its lag partners.
     """
     t_len, reach = x.shape[0], max(lags)
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
-    chunks = _chunks(x.shape)
+    if math.prod(x.shape[1:]) > _CHUNK_ELEMS:
+        _windowed_grams(x, mean, lags, out)
+        return out
+    chunks = _pieces(x.shape)
     if mean is not None:
-        buf = np.empty((min(chunks[0].stop + reach, t_len),) + x.shape[1:])
-    for s in chunks:
+        buf = np.empty((min(chunks[0][0].stop + reach, t_len),) + x.shape[1:])
+    for (s,) in chunks:
         start, stop = s.start, min(s.stop + reach, t_len)
         z = x[start:stop]
         if mean is not None:
@@ -165,6 +209,38 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
             for axis, g in enumerate(grams, 1):
                 g += _mode_gram(lead, lagged, axis)
     return out
+
+
+def _windowed_grams(x, mean, lags, out):
+    """:func:`_mode_grams` of a series whose tensors exceed the budget,
+    accumulated into ``out``."""
+    slots = max(lags) + 1
+    natural = list(range(x.ndim))
+    swapped = natural[:1] + natural[2:3] + natural[1:2] + natural[3:]  # mode 2 first
+    passes = [(_pieces(x.shape, 2), [1], natural),
+              (_pieces(x.shape, 1), range(2, x.ndim), swapped)]
+    # one ring for both passes, as wide as the widest (a first or last) window
+    ring = np.empty((slots, max(x[s].size for pieces, _, _ in passes
+                                for s in (pieces[0], pieces[-1]))))
+    for pieces, modes, order in passes:
+        if not modes:
+            continue
+        for s in pieces:
+            t, window = s[0].start, s[1:]
+            z = x[s]
+            shape = [z.shape[i] for i in order]
+            held = [ring[i, :z.size].reshape(shape) for i in range(slots)]
+            m = 0.0 if mean is None else mean[np.newaxis][(slice(None),) + window]
+            # x - 0.0 is a copy with the bits of x; reading the series in its
+            # own order is the faster side to transpose (order is an involution)
+            np.subtract(z, m, out=held[t % slots].transpose(order))
+            for h, grams in zip(lags, out):
+                if t < h:
+                    continue
+                # the pair (t - h, t) of this window
+                lead, lagged = held[(t - h) % slots], held[t % slots]
+                for mode in modes:
+                    grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
 
 
 def multi_mode_product(

@@ -378,6 +378,25 @@ lags = 2
                 method=method, ranks=(1, 1))
 
 
+class TestBenchUnknownMethod:
+    """A method the registry does not know is a usage error, before the
+    output directory exists."""
+
+    CONFIG = ("[experiment]\nmethods = {methods}\nout = {out}\n[simulation]\n"
+              "T = 10\ndims = 6, 6\nranks = 2, 2\n")
+
+    @pytest.mark.parametrize("in_file, flag", [
+        ("magic", []), ("mopca", ["--methods", "mopca,magic"]),
+    ], ids=["config", "flag"])
+    def test_exits_with_the_usage_code(self, tmp_path, capsys, in_file, flag):
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(self.CONFIG.format(methods=in_file, out=out))
+        assert main(["bench", str(cfg), *flag]) == 1
+        assert "unknown method 'magic'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTypedErrorExitCodes:
     """Each input the fits reject by name exits with the numeric-error code."""
 
@@ -407,6 +426,25 @@ class TestTypedErrorExitCodes:
         rc, err = self._estimate(tmp_path, capsys, rng.standard_normal((8, 6, 1, 4)))
         assert rc == 3
         assert "mode 1 of dims (6, 1, 4) has size 1" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", [["estimate", "--out", "fit"],
+                                         ["estimate", "--method", "itipup", "--out",
+                                          "fit"],
+                                         ["rank"], ["rank", "--method", "itipup"],
+                                         ["rank", "--no-center"]])
+    def test_non_finite_series(self, tmp_path, capsys, rng, command, bad):
+        series = rng.standard_normal((6, 5, 4, 3))
+        series[2, 1, 0, 2] = bad
+        path = tmp_path / "data.tnsf"
+        write_tensor_series(path, series)
+        argv = [command[0], str(path), *command[1:]]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "fit")
+        assert main(argv) == 3
+        assert "the series has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "fit.A1").exists()
 
 
 class TestExitCodes:

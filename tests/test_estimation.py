@@ -34,7 +34,7 @@ from tuckerfactor import (
     unfold,
     varimax,
 )
-from tuckerfactor import estimation
+from tuckerfactor import estimation, tensor
 from tuckerfactor.baseline import itipup_fit
 from tuckerfactor.estimation import _varimax_criterion
 
@@ -342,7 +342,90 @@ class TestInitFixesRanks:
         assert fit_fn(series, (2, 3, 4), init=init).ranks == (2, 3, 4)
 
 
+class TestInitChecked:
+    """A bad ``init`` fails by mode before any pass over the series."""
+
+    DIMS = (6, 5, 4)
+
+    def good_init(self):
+        return [np.linalg.qr(np.random.default_rng(p).standard_normal((p, 2)))[0]
+                for p in self.DIMS]
+
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    @pytest.mark.parametrize("mode, bad, message", [
+        (1, np.ones((5, 2)), "mode 1 is not finite and of full column rank"),
+        (2, np.zeros((4, 1)), "mode 2 is not finite and of full column rank"),
+        (0, np.ones((5, 2)), "mode 0 has shape \\(5, 2\\); it needs 6 rows"),
+        (2, np.ones(4), "mode 2 has shape \\(4,\\)"),
+        (1, np.zeros((5, 0)), "mode 1 has shape .* at least one column"),
+        (0, np.full((6, 2), np.nan), "mode 0 is not finite and of full column rank"),
+    ])
+    def test_bad_matrix_names_its_mode(self, monkeypatch, rng, fit_fn, mode, bad,
+                                       message):
+        passes = []
+        monkeypatch.setattr(estimation, "series_moments",
+                            lambda *args, **kwargs: passes.append(args))
+        init = self.good_init()
+        init[mode] = bad
+        with pytest.raises(ValueError, match=message):
+            fit_fn(rng.standard_normal((8,) + self.DIMS), init=init)
+        assert passes == []
+
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_one_matrix_per_mode(self, rng, fit_fn):
+        with pytest.raises(ValueError, match="init has 2 matrices for 3 modes"):
+            fit_fn(rng.standard_normal((8,) + self.DIMS), init=self.good_init()[:2])
+
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_good_init_is_accepted(self, rng, fit_fn):
+        fit = fit_fn(rng.standard_normal((8,) + self.DIMS), init=self.good_init())
+        assert fit.ranks == (2, 2, 2)
+
+
 FITS_AND_SELECTOR = [mopca_fit, pmopca_fit, ipmopca_fit, itipup_fit, estimate_ranks]
+
+
+class TestNonFiniteSeries:
+    """NaN or inf fails with a named error from the moments, whichever pass
+    builds them, before any loadings are returned."""
+
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    def series(self, rng, bad, where=(3, 2, 1, 0)):
+        x = rng.standard_normal((7, 6, 5, 4))
+        x[where] = bad
+        return x
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
+    def test_every_fit(self, rng, fit_fn, bad, center):
+        with pytest.raises(ValueError, match="the series has non-finite entries"):
+            fit_fn(self.series(rng, bad), center=center)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0, 0), (6, 5, 4, 3)],
+                             ids=["first", "last"])
+    @pytest.mark.parametrize("per_tensor", [None, 1 / 2, 1 / 3])
+    def test_the_windowed_pass_keeps_the_check(self, monkeypatch, rng, where,
+                                               per_tensor):
+        # NaN in the first or last tensor reaches itipup's lag-1 Grams too
+        x = self.series(rng, np.nan, where)
+        if per_tensor is not None:
+            monkeypatch.setattr(tensor, "_CHUNK_ELEMS", int(per_tensor * x[0].size))
+        for fit in (mopca_fit, itipup_fit):
+            with pytest.raises(ValueError, match="the series has non-finite entries"):
+                fit(x, (2, 2, 2), center=False)
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    def test_with_init_from_the_first_projected_covariance(self, rng, fit_fn, center):
+        x = rng.standard_normal((7, 6, 5, 4))
+        init = mopca_fit(x, (2, 2, 2)).loadings
+        x[1, 2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="the series has non-finite entries"):
+            fit_fn(x, init=init, center=center)
+        with pytest.raises(ValueError, match="the series has non-finite entries"):
+            estimate_ranks(x, loadings=init, center=center)
 
 
 class TestTypedErrors:
@@ -554,6 +637,31 @@ def test_fit_holds_the_series_once(fit_fn):
     # peak RSS growth of a fresh process fitting a 32 MiB series; a centred
     # copy of the series grows it by at least the series
     assert float(run_peak_script(_FIT_PEAK_SCRIPT, fit_fn.__name__)) <= 0.25
+
+
+_FIT_LARGE_TENSOR_PEAK_SCRIPT = """
+import sys
+import numpy as np
+import tuckerfactor as tf
+
+fit = getattr(tf, sys.argv[1])
+options = {} if sys.argv[1] in ("mopca_fit", "pmopca_fit") else {"max_iter": 2}
+x = np.random.default_rng(0).standard_normal((4, 128, 128, 128))
+fit(x[:4, :8, :8, :8], (2, 3, 4), **options)  # loads the BLAS and LAPACK paths
+before = peak_kib()
+fit(x, (2, 3, 4), **options)
+print((peak_kib() - before) * 1024 / x.nbytes)
+"""
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("fit_fn", ALL_FITS)
+def test_fit_holds_a_few_windows_of_a_large_tensor(fit_fn):
+    # four 16 MiB tensors, each 8 times the piece budget: the fit adds its
+    # mean (a quarter of the 64 MiB series) and a few windows; a centring
+    # buffer of whole tensors adds one tensor, and two for itipup's lag
+    assert float(run_peak_script(_FIT_LARGE_TENSOR_PEAK_SCRIPT,
+                                 fit_fn.__name__)) <= 0.4
 
 
 class TestEstimatorConfig:

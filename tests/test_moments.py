@@ -68,6 +68,34 @@ def test_fit_with_shared_moments_is_bitwise_its_own(monkeypatch, method, t_len, 
     assert fit_bytes(run_fit(method, x, center, h0, moments=shared)) == fit_bytes(own)
 
 
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("per_tensor", [1 / 2, 1 / 3])
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("t_len, dims", SHAPES)
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_at_a_sub_tensor_budget_matches_the_default(monkeypatch, method, t_len,
+                                                        dims, center, per_tensor):
+    # windows of a half or a third of a tensor in the moment pass and the
+    # simulator; the projections take one tensor at a time
+    config = scenario_config("II", t_len, dims, (2,) * len(dims), seed=t_len)
+    x, _ = simulate_dataset(config)
+    want = run_fit(method, x, center, 2)
+    monkeypatch.setattr(tensor, "_CHUNK_ELEMS", int(per_tensor * x[0].size))
+    x_windowed, _ = simulate_dataset(config)
+    assert x_windowed.tobytes() == x.tobytes()
+    got = run_fit(method, x, center, 2)
+    assert got.ranks == want.ranks
+    assert got.iterations == want.iterations
+    for a, b in zip(got.loadings + got.eigvals + [got.factors],
+                    want.loadings + want.eigvals + [want.factors]):
+        assert relative_error(a, b) <= 1e-12
+    if center:
+        assert got.mean.tobytes() == want.mean.tobytes()
+
+
 @pytest.mark.parametrize("ranks", ["auto", (2, 3, 2)])
 def test_run_experiment_matches_the_per_fit_path(tmp_path, ranks):
     sim = scenario_config("IV", 14, (7, 6, 5), (2, 3, 2), seed=3)

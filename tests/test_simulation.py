@@ -214,13 +214,17 @@ def whole_array_dataset(config, replication):
 class TestChunkedAssembly:
     @pytest.mark.parametrize("name, dims", [
         ("IV", (5, 4, 3)), ("II", (4, 3, 5, 2)), ("III", (6, 7, 2)),
+        ("IV", (11, 4, 3)), ("II", (7, 5)),
     ])
-    @pytest.mark.parametrize("per_chunk", [1, 3, None])
+    @pytest.mark.parametrize("per_chunk", [1, 3, None, 1 / 2, 1 / 3])
     def test_matches_whole_array_reference(self, monkeypatch, name, dims, per_chunk):
         # chunks of 1 or 3 whole tensors make T=11 span several chunks with
-        # a ragged last one; None keeps the default budget (one chunk)
+        # a ragged last one; None keeps the default budget (one chunk); a
+        # half or a third of a tensor cuts every tensor into windows, the
+        # last one ragged (of 2 slabs for the 11 rows of (11, 4, 3))
         if per_chunk is not None:
-            monkeypatch.setattr(tensor, "_CHUNK_ELEMS", per_chunk * int(np.prod(dims)))
+            monkeypatch.setattr(tensor, "_CHUNK_ELEMS",
+                                int(per_chunk * int(np.prod(dims))))
         config = scenario_config(name, T=11, dims=dims, ranks=(2,) * len(dims), seed=6)
         series, truth = simulate_dataset(config, replication=2)
         ref_series, ref_signals = whole_array_dataset(config, 2)
@@ -252,3 +256,21 @@ def test_simulate_holds_the_series_once():
     # simulator holding a second full-size array (innovations plus their
     # coloured copy, or series plus signals) grows by about twice that
     assert float(run_peak_script(_SIMULATE_PEAK_SCRIPT)) < 1.5
+
+
+_SIMULATE_LARGE_TENSOR_PEAK_SCRIPT = """
+from tuckerfactor import scenario_config, simulate_dataset
+
+simulate_dataset(scenario_config("IV", 2, (8, 8, 8)))
+before = peak_kib()
+series, _ = simulate_dataset(scenario_config("IV", 4, (128, 128, 128)))
+print((peak_kib() - before) * 1024 / series.nbytes)
+"""
+
+
+@needs_vmhwm
+def test_simulate_holds_a_few_windows_of_a_large_tensor():
+    # four 16 MiB tensors, each 8 times the piece budget: besides the
+    # 64 MiB series only the pre-sample state (a quarter of it) and a few
+    # windows; whole-tensor temporaries would add about three tensors
+    assert float(run_peak_script(_SIMULATE_LARGE_TENSOR_PEAK_SCRIPT)) <= 1.4

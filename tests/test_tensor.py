@@ -223,17 +223,19 @@ class TestFusedModeGrams:
     """``tensor._mode_grams`` gives every mode's (lagged) Gram matrix of the
     centred series in one chunked pass."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(x=tensors(min_dims=2, max_dims=5),
            lags=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
            center=st.booleans(),
-           per_chunk=st.sampled_from([1, 3, None]),
+           per_chunk=st.sampled_from([1, 3, None, 1 / 2, 1 / 3]),
            data=st.data())
     def test_matches_centred_unfold_definition(self, x, lags, center, per_chunk, data):
+        # a half or a third of a tensor takes the windowed pass
         mean = x.mean(axis=0) if center else None
         with pytest.MonkeyPatch.context() as mp:
             if per_chunk is not None:  # None: the default budget
-                mp.setattr(tensor_module, "_CHUNK_ELEMS", per_chunk * x[0].size)
+                mp.setattr(tensor_module, "_CHUNK_ELEMS",
+                           max(1, int(per_chunk * x[0].size)))
             out = tensor_module._mode_grams(x, mean, lags)
         xc = x - mean if center else x
         assert len(out) == len(lags)
@@ -256,6 +258,37 @@ class TestFusedModeGrams:
                                   tensor_module._mode_gram(xc, xc, axis))
             assert np.array_equal(lagged[axis - 1],
                                   tensor_module._mode_gram(xc[:-1], xc[1:], axis))
+
+
+class TestPieces:
+    """``tensor._pieces`` covers a series once, in pieces within the budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=hnp.array_shapes(min_dims=2, max_dims=5, min_side=1, max_side=9),
+           axis=st.integers(0, 2), budget=st.integers(1, 400))
+    def test_covers_the_series_once(self, shape, axis, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_module, "_CHUNK_ELEMS", budget)
+            pieces = tensor_module._pieces(shape, axis)
+        count = np.zeros(shape, dtype=int)
+        size = int(np.prod(shape[1:]))
+        windowed = len(pieces[0]) > 1
+        for s in pieces:
+            count[s] += 1
+            n = count[s].size
+            if not windowed:  # runs of whole tensors
+                assert n <= max(budget, size) or n == size
+            else:  # one tensor's window of whole slabs along the axis
+                slab = size // shape[axis]
+                width = s[axis].stop - s[axis].start
+                assert s[0].stop - s[0].start == 1 and n == width * slab
+                assert width >= 2 or shape[axis] == 1
+                assert n <= max(budget, 3 * slab)
+        assert (count == 1).all()
+        if windowed:  # window by window, each for t = 0..T-1
+            assert [s[0].start for s in pieces] == list(range(shape[0])) * (
+                len(pieces) // shape[0])
+        assert windowed == (axis > 0 and size > budget and axis < len(shape))
 
 
 class TestMultiModeProduct:

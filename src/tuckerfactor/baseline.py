@@ -20,12 +20,12 @@ from .estimation import (
     FactorFit,
     SeriesMoments,
     _as_series,
+    _check_finite,
     _eigensystems,
     _loadings_from_spectra,
     _moments_for,
-    extract_factors,
+    _projected_fit,
     iterate_projected_fit,
-    projected_series,
 )
 from .tensor import _mode_gram
 
@@ -60,6 +60,7 @@ def _lag_sum(x, axis, h0, scale, grams=None):
         g = _mode_gram(x[:-h], x[h:], axis) if grams is None else grams[h - 1]
         w = g / ((x.shape[0] - h) * scale)
         out += w @ w.T
+    _check_finite([out])
     return (out + out.T) / 2.0
 
 
@@ -76,12 +77,6 @@ def _tipup_loadings(x, moments, ranks, k_max, h0):
     return _loadings_from_spectra(x.shape[1:], ranks, k_max, lambda: _eigensystems(
         _lag_sum(x, d + 1, h0, p, [moments.grams[h][d] for h in range(1, h0 + 1)])
         for d in range(x.ndim - 1)))
-
-
-def _projected_tipup_matrix(x, loadings, mode, h0, center):
-    """Lagged analogue of the projected mode covariance."""
-    y = projected_series(x, loadings, mode, center)
-    return _lag_sum(y, 1, h0, y.shape[1])
 
 
 def estimate_ranks_tipup(x: np.ndarray, k_max: int | None = None, h0: int = 1,
@@ -118,21 +113,7 @@ def itipup_fit(
     moments = _tipup_moments(x, moments, center, h0)
     init, _ = _tipup_loadings(x, moments, ranks, k_max, h0)
     ranks = tuple(a.shape[1] for a in init)
-    loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
-        x,
-        ranks,
-        init,
-        lambda s, lds, d: _projected_tipup_matrix(s, lds, d, h0, center),
-        tol=tol,
-        max_iter=max_iter,
-        update_within_sweep=update_within_sweep,
-    )
-    return FactorFit(
-        loadings=loadings,
-        factors=extract_factors(x, loadings, center),
-        eigvals=eigvals,
-        iterations=sweeps,
-        converged=converged,
-        per_sweep_distance=history,
-        mean=moments.mean,
-    )
+    # the lagged analogue of the projected mode covariance
+    return _projected_fit(x, center, moments.mean, iterate_projected_fit(
+        x, ranks, init, lambda y: _lag_sum(y, 1, h0, y.shape[1]), center,
+        tol=tol, max_iter=max_iter, update_within_sweep=update_within_sweep))

@@ -27,15 +27,19 @@ as ``moments=``, so they share that pass and the mode spectra.
 Projections and factors are taken one run of whole tensors at a time
 and centred after projecting: by linearity ``P(X_t - mean) = P(X_t) -
 mean_s P(X_s)``, so the small projected stack's own temporal mean is
-subtracted.  A piece holds at most ``tensor._CHUNK_ELEMS`` elements, a
-window of one tensor when a tensor is larger, so a fit's temporaries
-are a few pieces plus one tensor, the mean, at any tensor size.
+subtracted.  A sweep of :func:`iterate_projected_fit` shares its mode
+products through a dimension tree (Kaya & Ucar, ICPP 2016): it reads the
+whole series twice, for mode 1's stack and for the prefix ``X x_1 A_1'``
+that serves the later modes, and its last prefix is the factor tensor.
+A piece holds at most ``tensor._CHUNK_ELEMS`` elements (one tensor when
+a tensor is larger), so a fit's temporaries are a few pieces plus one
+tensor, the mean, at any tensor size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -129,6 +133,7 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < d_count:
         raise ValueError(f"mode {mode} out of range for {d_count}-way data")
     m = _mode_gram(x, x, mode + 1) / x.size
+    _check_finite([m])
     return (m + m.T) / 2.0
 
 
@@ -153,33 +158,23 @@ def projected_series(x: np.ndarray, loadings, mode: int,
         raise ValueError(f"need {d_count} loading matrices, got {len(loadings)}")
     for d, a in enumerate(loadings):
         if d != mode and a.shape[0] != x.shape[d + 1]:
-            raise ValueError(
-                f"loading for mode {d} has {a.shape[0]} rows, data has {x.shape[d + 1]}"
-            )
-    p_other = math.prod(x.shape[1:]) // x.shape[mode + 1]
-    k_other = math.prod(a.shape[1] for d, a in enumerate(loadings) if d != mode)
-    # per-observation mode-d unfolding of the projected stack, batched:
-    # mode d first, then the other modes reversed, so a C-order reshape
-    # enumerates them lowest mode fastest (the unfold column convention)
-    axes = [0, mode + 1] + [a for a in range(d_count, 0, -1) if a != mode + 1]
-    y = np.empty((x.shape[0], x.shape[mode + 1], k_other))
-    for (s,) in _pieces(x.shape):  # runs of whole tensors
-        z = x[s]
-        for d in range(d_count):
-            if d != mode:
-                z = mode_product(z, loadings[d].T, d + 1)
-        z = z.transpose(axes)
-        np.divide(z, p_other, out=y[s].reshape(z.shape))
-    if center:
-        y -= np.add.reduce(y, axis=0) / y.shape[0]  # y.mean(axis=0), one call
-    return y
+            raise ValueError(f"loading for mode {d} has {a.shape[0]} rows, "
+                             f"data has {x.shape[d + 1]}")
+    others = [d for d in range(d_count) if d != mode]
+    y = _project(x, loadings, others, x.size // x.shape[0] // x.shape[mode + 1], mode)
+    return _centred(y, center)
 
 
 def projected_mode_covariance(x: np.ndarray, loadings, mode: int,
                               center: bool = False) -> np.ndarray:
     """Covariance ``sum_t Y_t Y_t' / (T p_d)`` of the projected series
     (of the centred series with ``center``, see :func:`projected_series`)."""
-    y = projected_series(x, loadings, mode, center)
+    return _projected_covariance(projected_series(x, loadings, mode, center))
+
+
+def _projected_covariance(y):
+    """The stack operator of the projected PCA fits: ``sum_t Y_t Y_t' / (T
+    p_d)`` of a stack ``y`` of shape ``(T, p_d, k_-d)``."""
     m = _mode_gram(y, y, 1) / (y.shape[0] * y.shape[1])
     _check_finite([m])
     return (m + m.T) / 2.0
@@ -193,6 +188,40 @@ def _check_finite(mats):
                          "or its moments overflow")
 
 
+def _project(x, loadings, modes, scale=1.0, stack=None):
+    """``x x_d A_d' / scale`` over every mode d in ``modes``; with ``stack``
+    a mode, as that mode's stack ``(T, p_d, k_-d)``.
+
+    ``x`` is a series or a prefix of one (lower modes already contracted),
+    with mode d on axis ``d + 1``.  The mode with the largest ``p_d / k_d``
+    goes first, so later products act on the smallest intermediate.  The
+    products are taken one run of whole tensors at a time
+    (:func:`tensor._pieces`) into the preallocated result.
+    """
+    modes = sorted(modes, key=lambda d: -x.shape[d + 1] / loadings[d].shape[1])
+    shape = list(x.shape)
+    for d in modes:
+        shape[d + 1] = loadings[d].shape[1]
+    # a stack has its mode first, then the other modes reversed, so a C-order
+    # reshape enumerates them lowest mode fastest (the unfold convention)
+    axes = range(x.ndim) if stack is None else (
+        0, stack + 1, *(a for a in range(x.ndim - 1, 0, -1) if a != stack + 1))
+    out = np.empty([shape[a] for a in axes])
+    for (s,) in _pieces(x.shape):
+        z = x[s]
+        for d in modes:
+            z = mode_product(z, loadings[d].T, d + 1)
+        np.divide(z.transpose(axes), scale, out=out[s])
+    return out if stack is None else out.reshape(x.shape[0], x.shape[stack + 1], -1)
+
+
+def _centred(y, center):
+    """``y`` less its temporal mean, in place, with ``center``."""
+    if center:
+        y -= np.add.reduce(y, axis=0) / y.shape[0]  # y.mean(axis=0), one call
+    return y
+
+
 def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray:
     """Core tensors ``F_t = X_t x_1 A_1' x_2 ... x_D A_D' / p``.
 
@@ -201,15 +230,10 @@ def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray
     """
     x = _as_series(x)
     loadings = [np.asarray(a) for a in loadings]
-    p = math.prod(x.shape[1:])
-    modes = list(range(1, x.ndim))
-    f = np.empty((x.shape[0],) + tuple(a.shape[1] for a in loadings))
-    for (s,) in _pieces(x.shape):  # runs of whole tensors
-        np.divide(multi_mode_product(x[s], loadings, modes=modes, transpose=True),
-                  p, out=f[s])
-    if center:
-        f -= np.add.reduce(f, axis=0) / f.shape[0]  # f.mean(axis=0), one call
-    return f
+    if len(loadings) != x.ndim - 1:
+        raise ValueError(f"need {x.ndim - 1} loading matrices, got {len(loadings)}")
+    return _centred(_project(x, loadings, range(x.ndim - 1), x.size // x.shape[0]),
+                    center)
 
 
 def reconstruct_signals(factors: np.ndarray, loadings) -> np.ndarray:
@@ -316,10 +340,11 @@ def estimate_ranks(
         fitted, _ = _pca_loadings(_moments_for(x, moments, center, (0,)),
                                   "auto", k_max)
     else:
+        # the spectra of one sweep through the frozen ``loadings``
         fitted, _ = _loadings_from_spectra(
-            x.shape[1:], "auto", k_max,
-            lambda: _eigensystems(_projected_covariances(x, loadings, center)),
-        )
+            x.shape[1:], "auto", k_max, lambda: iterate_projected_fit(
+                x, [np.shape(a)[1] for a in loadings], loadings, _projected_covariance,
+                center, max_iter=1, update_within_sweep=False)[1])
     return tuple(a.shape[1] for a in fitted)
 
 
@@ -349,22 +374,22 @@ def _loadings_from_spectra(dims, ranks, k_max, systems_fn):
         ranks = _check_ranks(ranks, dims)
     loadings, spectra = [], []
     for d, (p_d, es) in enumerate(zip(dims, systems_fn())):
-        if not es.values[0] > 0:
-            raise ValueError(f"degenerate spectrum: mode {d} has top "
-                             f"eigenvalue {es.values[0]:.3g}")
-        spectra.append(es.values)
+        spectra.append(_nondegenerate(d, es).values)
         k_d = select_rank_from_eigenvalues(es.values, k_max) if auto else ranks[d]
         loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
     return loadings, spectra
 
 
+def _nondegenerate(d, es):
+    """Mode d's eigensystem ``es``, if its top eigenvalue is positive."""
+    if not es.values[0] > 0:
+        raise ValueError(f"degenerate spectrum: mode {d} has top "
+                         f"eigenvalue {es.values[0]:.3g}")
+    return es
+
+
 def _eigensystems(covs):
     return [top_k_eigensystem(c, c.shape[0]) for c in covs]
-
-
-def _projected_covariances(x, loadings, center):
-    return [projected_mode_covariance(x, loadings, d, center)
-            for d in range(x.ndim - 1)]
 
 
 def _pca_loadings(moments, ranks, k_max):
@@ -387,15 +412,6 @@ def _check_init(init, dims):
         if not np.isfinite(a).all() or np.linalg.matrix_rank(a) < a.shape[1]:
             raise ValueError(f"init for mode {d} is not finite and of full column rank")
     return init
-
-
-def _projected_start(moments, ranks, init, k_max):
-    """The projected fits' start and ranks: ``init`` fixes them under "auto"."""
-    if init is None:
-        init, _ = _pca_loadings(moments, ranks, k_max)
-    elif not isinstance(ranks, str):
-        return init, _check_ranks(ranks, moments.shape[1:])
-    return init, tuple(a.shape[1] for a in init)
 
 
 def mopca_fit(
@@ -453,76 +469,82 @@ def pmopca_fit(
     *frozen* initial loadings (mode-wise PCA estimates by default); one
     eigendecomposition per mode then yields the refined loadings.  An
     ``init`` fixes the ranks under ``ranks="auto"``, as in
-    :func:`ipmopca_fit`.
+    :func:`ipmopca_fit`.  This is one sweep of :func:`ipmopca_fit`
+    without within-sweep updates, reported as converged.
     """
-    x = _as_series(x)
-    init = _check_init(init, x.shape[1:])
-    moments = _moments_for(x, moments, center, (0,) if init is None else ())
-    init, ranks = _projected_start(moments, ranks, init, k_max)
-    loadings, spectra = _loadings_from_spectra(
-        x.shape[1:], ranks, k_max,
-        lambda: _eigensystems(_projected_covariances(x, init, center)),
-    )
-    dist = max(
-        subspace_distance(new, old) for new, old in zip(loadings, init)
-    )
-    return FactorFit(
-        loadings=loadings,
-        factors=extract_factors(x, loadings, center),
-        eigvals=[np.maximum(v, 0.0) for v in spectra],
-        iterations=1,
-        converged=True,
-        per_sweep_distance=[dist],
-        mean=moments.mean,
-    )
+    fit = ipmopca_fit(x, ranks, init, max_iter=1, update_within_sweep=False,
+                      center=center, k_max=k_max, moments=moments)
+    return replace(fit, converged=True)
 
 
 def iterate_projected_fit(
     x: np.ndarray,
     ranks,
     init,
-    cov_fn,
+    stack_op,
+    center: bool,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     update_within_sweep: bool = True,
     stop_norm: str = "spectral",
 ):
-    """Shared sweep loop for the iterative projected estimators.
+    """Shared sweep loop of the projected estimators.
 
-    ``cov_fn(x, loadings, d)`` must return the mode-d covariance of the
-    series projected through ``loadings``.  Sweeps run over modes in
-    order; with ``update_within_sweep`` the projection for mode d already
-    uses this sweep's refreshed loadings for lower modes.  After each full
-    sweep the largest per-mode distance between the old and new projectors
-    is compared against ``tol``.
+    Each sweep refreshes the modes in order.  Mode d's stack is the series
+    projected through the other modes' loadings (:func:`projected_series`),
+    centred with ``center``; ``stack_op`` maps that ``(T, p_d, k_-d)``
+    stack to a ``(p_d, p_d)`` matrix, whose top ``ranks[d]`` eigenvectors
+    are the new loadings.  With ``update_within_sweep`` mode d's stack
+    takes this sweep's new loadings of the lower modes, else the sweep's
+    start loadings.  Sweeps stop once the largest per-mode projector
+    distance across a sweep is at most ``tol``, or after ``max_iter``.
+
+    A sweep walks one prefix chain, ``P_0 = X`` and ``P_{d+1} = P_d x_d
+    A_d'``: mode d's stack contracts the higher modes of ``P_d``, the
+    largest ``p_j / k_j`` first.  Only mode 0's stack and ``P_1`` read the
+    whole series: two full-size mode products a sweep at any D (one for D =
+    1).  With ``update_within_sweep`` the last sweep's ``P_D / p``,
+    centred, is the factors of the returned loadings; without, the factors
+    are None.  Returns ``(loadings, systems, sweeps, converged, history,
+    factors)``, ``systems[d]`` being mode d's last full eigensystem.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    dims = x.shape[1:]
-    current = [np.array(a, dtype=float) for a in init]
-    eigvals = [None] * len(dims)
+    dims, p = x.shape[1:], x.size // x.shape[0]
+    current = [np.asarray(a, dtype=float) for a in init]
+    systems = [None] * len(dims)
     history: list[float] = []
-    converged = False
-    sweeps = 0
-    for _ in range(max_iter):
-        start = [a.copy() for a in current]
+    for sweeps in range(1, max_iter + 1):
+        start = list(current)
+        projector = current if update_within_sweep else start
+        prefix = x
         for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
-            projector = current if update_within_sweep else start
-            es = top_k_eigensystem(cov_fn(x, projector, d), p_d)
-            eigvals[d] = np.maximum(es.values, 0.0)
+            y = _project(prefix, projector, range(d + 1, len(dims)), p // p_d, d)
+            y = _centred(y, center)
+            es = systems[d] = _nondegenerate(d, top_k_eigensystem(stack_op(y), p_d))
             current[d] = np.sqrt(p_d) * es.vectors[:, :k_d]
-        sweeps += 1
-        dist = max(
-            subspace_distance(new, old, norm=stop_norm)
-            for new, old in zip(current, start)
-        )
-        history.append(dist)
-        if dist <= tol:
-            converged = True
+            if d < len(dims) - 1:
+                prefix = _project(prefix, projector, [d])
+        history.append(max(subspace_distance(new, old, norm=stop_norm)
+                           for new, old in zip(current, start)))
+        converged = history[-1] <= tol
+        if converged:
             break
-    return current, eigvals, sweeps, converged, history
+    factors = (_centred(_project(prefix, current, [len(dims) - 1], p), center)
+               if update_within_sweep else None)
+    return current, systems, sweeps, converged, history, factors
+
+
+def _projected_fit(x, center, mean, result):
+    """The :class:`FactorFit` of an :func:`iterate_projected_fit` result,
+    extracting its factors when the sweeps did not build them."""
+    loadings, systems, sweeps, converged, history, factors = result
+    if factors is None:
+        factors = extract_factors(x, loadings, center)
+    eigvals = [np.maximum(es.values, 0.0) for es in systems]
+    return FactorFit(loadings, factors, eigvals, sweeps, converged, history, mean)
 
 
 def ipmopca_fit(
@@ -551,26 +573,14 @@ def ipmopca_fit(
     x = _as_series(x)
     init = _check_init(init, x.shape[1:])
     moments = _moments_for(x, moments, center, (0,) if init is None else ())
-    init, ranks = _projected_start(moments, ranks, init, k_max)
-    loadings, eigvals, sweeps, converged, history = iterate_projected_fit(
-        x,
-        ranks,
-        init,
-        lambda s, lds, d: projected_mode_covariance(s, lds, d, center),
-        tol=tol,
-        max_iter=max_iter,
-        update_within_sweep=update_within_sweep,
-        stop_norm=stop_norm,
-    )
-    return FactorFit(
-        loadings=loadings,
-        factors=extract_factors(x, loadings, center),
-        eigvals=eigvals,
-        iterations=sweeps,
-        converged=converged,
-        per_sweep_distance=history,
-        mean=moments.mean,
-    )
+    if init is None:
+        init, _ = _pca_loadings(moments, ranks, k_max)
+    # the start fixes the ranks under "auto"
+    ranks = (tuple(a.shape[1] for a in init) if isinstance(ranks, str)
+             else _check_ranks(ranks, x.shape[1:]))
+    return _projected_fit(x, center, moments.mean, iterate_projected_fit(
+        x, ranks, init, _projected_covariance, center, tol=tol, max_iter=max_iter,
+        update_within_sweep=update_within_sweep, stop_norm=stop_norm))
 
 
 def _varimax_criterion(b: np.ndarray) -> float:

@@ -83,9 +83,12 @@ def _header(shape) -> bytes:
 
 def _write_payload(fh, arr) -> None:
     """Append the tensors of ``arr`` to an open file, one at a time, so
-    consecutive chunks of a series write the bytes of the whole series."""
+    consecutive chunks of a series write the bytes of the whole series.
+    Each tensor is transposed into one reused buffer in the file's order."""
+    buf = np.empty(arr.shape[:0:-1], dtype="<f8")
     for t in range(arr.shape[0]):
-        fh.write(arr[t].ravel(order="F").astype("<f8", copy=False).tobytes())
+        buf[...] = arr[t].T
+        fh.write(buf)
 
 
 def read_tensor_series(path) -> np.ndarray:

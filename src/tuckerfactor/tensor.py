@@ -126,28 +126,33 @@ def _pieces(shape, axis=0) -> list[tuple[slice, ...]]:
     whole mode-1 fibres.  A window has at least two slabs (where the axis
     has two) and at most the budget, or three slabs when fewer fill it.
     Windows come window by window, each for ``t = 0..T-1`` in turn, so a
-    window's lag partners are its neighbours.
+    window's lag partners are its neighbours.  A 1-way series is cut into
+    runs alone, by the window rule with tensors for slabs: at least two
+    tensors a run (where T has two), at most the budget or three tensors.
 
     A mode product of a piece along a mode that it holds whole gives the
     bits of the same entries of the whole array's mode product, so a
     piecewise pass matches a whole-array one.
     """
     size = math.prod(shape[1:])
-    if axis == 0 or size <= _CHUNK_ELEMS or axis >= len(shape):
+    if len(shape) == 2:
+        axis = 0
+    elif axis == 0 or size <= _CHUNK_ELEMS or axis >= len(shape):
         step = max(1, _CHUNK_ELEMS // size)
         return [(slice(i, i + step),) for i in range(0, shape[0], step)]
-    # at least two slabs a window: BLAS takes a product with one row or
+    # at least two slabs a piece: BLAS takes a product with one row or
     # column to another kernel, whose bits differ from the whole array's
-    width = max(2, _CHUNK_ELEMS // (size // shape[axis]))
+    width = max(2, _CHUNK_ELEMS // (size // shape[axis] if axis else size))
     starts = list(range(0, shape[axis], width))
     if len(starts) > 1 and shape[axis] - starts[-1] == 1:
         # a one-slab tail takes a slab from the window before it, or
         # joins it when that has only two
         starts[-1:] = [starts[-1] - 1] if width > 2 else []
+    spans = [slice(j, k) for j, k in zip(starts, starts[1:] + [shape[axis]])]
+    if axis == 0:
+        return [(s,) for s in spans]
     lead = (slice(None),) * (axis - 1)
-    return [(slice(t, t + 1), *lead, slice(j, k))
-            for j, k in zip(starts, starts[1:] + [shape[axis]])
-            for t in range(shape[0])]
+    return [(slice(t, t + 1), *lead, s) for s in spans for t in range(shape[0])]
 
 
 def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -177,23 +182,24 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     ``h = lags[i]`` and ``z = x - mean`` (``x`` itself when ``mean`` is
     None), for a C-contiguous series ``x`` of shape ``(T, p_1, ..., p_D)``.
     The centred series is never held whole.  While a tensor fits
-    ``_CHUNK_ELEMS``, each run of whole tensors, plus the ``max(lags)``
-    tensors after it, is centred once into one reused buffer, and all
-    modes' products are taken from there.  A larger tensor is read twice,
-    in windows (:func:`_pieces`): mode 1 from windows along its second
-    axis, the other modes from windows along its first, centred with mode 2
-    moved in front, so that modes 1, 2 and D each take one BLAS call per
-    window.  Each window is centred once into a ring of ``max(lags) + 1``
-    window buffers, which holds its lag partners.
+    ``_CHUNK_ELEMS``, or the series is 1-way, each run of whole tensors,
+    plus the ``max(lags)`` tensors after it, is centred once into one
+    reused buffer, and all modes' products are taken from there.  A larger
+    tensor is read twice, in windows (:func:`_pieces`): mode 1 from windows
+    along its second axis, the other modes from windows along its first,
+    centred with mode 2 moved in front, so that modes 1, 2 and D each take
+    one BLAS call per window.  Each window is centred once into a ring of
+    ``max(lags) + 1`` window buffers, which holds its lag partners.
     """
     t_len, reach = x.shape[0], max(lags)
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
-    if math.prod(x.shape[1:]) > _CHUNK_ELEMS:
+    if math.prod(x.shape[1:]) > _CHUNK_ELEMS and x.ndim > 2:
         _windowed_grams(x, mean, lags, out)
         return out
     chunks = _pieces(x.shape)
     if mean is not None:
-        buf = np.empty((min(chunks[0][0].stop + reach, t_len),) + x.shape[1:])
+        longest = max(min(s.stop + reach, t_len) - s.start for (s,) in chunks)
+        buf = np.empty((longest,) + x.shape[1:])
     for (s,) in chunks:
         start, stop = s.start, min(s.stop + reach, t_len)
         z = x[start:stop]

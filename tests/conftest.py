@@ -26,6 +26,13 @@ def make_noiseless_series(rng, t_len, dims, ranks):
     return signals, loadings, cores
 
 
+def fortran_payload(arr):
+    """TNSF payload bytes of a series by its definition: each tensor
+    ravelled first index fastest, as little-endian f64."""
+    return b"".join(arr[t].ravel(order="F").astype("<f8").tobytes()
+                    for t in range(arr.shape[0]))
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

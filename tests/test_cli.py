@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_orthonormal_loadings, needs_vmhwm, run_peak_script
+from conftest import (
+    fortran_payload,
+    make_orthonormal_loadings,
+    needs_vmhwm,
+    run_peak_script,
+)
 from tuckerfactor import (
     EstimatorConfig,
     baseline,
@@ -238,6 +243,8 @@ class TestOneCopyPipeline:
         assert capsys.readouterr().out == (
             f"RE: {reconstruction_error(reference, signals):.6f}\n")
         assert out.read_bytes() == (tmp_path / "ref.tnsf").read_bytes()
+        # the chunked writes give the bytes of a Fortran-order ravel
+        assert out.read_bytes()[16 + 8 * 3:] == fortran_payload(signals)
 
     def test_failed_reconstruct_leaves_no_output(self, data, tmp_path):
         # loadings with the wrong row counts fail inside the chunk pass,

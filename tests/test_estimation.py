@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_noiseless_series,
@@ -27,6 +29,7 @@ from tuckerfactor import (
     reconstruct_signals,
     scenario_config,
     select_rank_from_eigenvalues,
+    series_moments,
     signal_rmse,
     simulate_dataset,
     subspace_distance,
@@ -35,7 +38,7 @@ from tuckerfactor import (
     varimax,
 )
 from tuckerfactor import estimation, tensor
-from tuckerfactor.baseline import itipup_fit
+from tuckerfactor.baseline import itipup_fit, tipup_mode_matrix
 from tuckerfactor.estimation import _varimax_criterion
 
 
@@ -247,7 +250,9 @@ class TestLazySignals:
         assert first.tobytes() == expected.tobytes()
         assert fit.signals is first
 
-    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    # ipmopca and itipup take their factors from their last sweep; see
+    # TestDimensionTree::test_sweeps_build_the_factors
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit])
     def test_projected_fits_extract_factors_once(self, rng, monkeypatch, fit_fn):
         # the mode-wise PCA start supplies loadings only, not factors
         calls = []
@@ -415,6 +420,14 @@ class TestNonFiniteSeries:
         for fit in (mopca_fit, itipup_fit):
             with pytest.raises(ValueError, match="the series has non-finite entries"):
                 fit(x, (2, 2, 2), center=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [mode_covariance, tipup_mode_matrix])
+    def test_layer_functions(self, rng, layer, bad):
+        x = self.series(rng, bad)
+        for mode in range(3):
+            with pytest.raises(ValueError, match="the series has non-finite entries"):
+                layer(x, mode)
 
     @pytest.mark.parametrize("center", [True, False])
     @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
@@ -686,3 +699,154 @@ class TestEstimatorConfig:
     def test_lags_below_one_rejected(self, lags):
         with pytest.raises(ValueError, match="lags"):
             EstimatorConfig(method="itipup", lags=lags)
+
+
+def full_size_passes(monkeypatch, x):
+    """A counter of the whole-series mode products the fits make on ``x``:
+    products of runs of whole tensors, in series tensors."""
+    tensors = []
+    original = estimation.mode_product
+
+    def counted(z, mat, mode):
+        if z.shape[1:] == x.shape[1:]:
+            tensors.append(z.shape[0])
+        return original(z, mat, mode)
+
+    monkeypatch.setattr(estimation, "mode_product", counted)
+    return lambda: sum(tensors) / x.shape[0]
+
+
+def frozen_ipmopca_fit(x, ranks, **kwargs):
+    return ipmopca_fit(x, ranks, update_within_sweep=False, **kwargs)
+
+
+_PERMUTED_SERIES, _ = simulate_dataset(scenario_config("II", 24, (7, 6, 5, 4),
+                                                       (2, 3, 2, 2), seed=9))
+_PERMUTED_RANKS = (2, 3, 2, 2)
+
+
+class TestDimensionTree:
+    """``iterate_projected_fit`` takes every mode's stack from one prefix
+    chain a sweep: two full-size mode products a sweep, whatever D, and the
+    last sweep's prefix is the factor tensor."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           t_len=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           center=st.booleans(), update=st.booleans(),
+           budget=st.sampled_from([None, 1, 3, 1 / 2]), data=st.data())
+    def test_stacks_match_projected_series(self, dims, t_len, seed, center,
+                                           update, budget, data):
+        ranks = data.draw(st.tuples(*(st.integers(1, p) for p in dims)))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((t_len, *dims)) + 2.0
+        init = [rng.standard_normal((p, k)) for p, k in zip(dims, ranks)]
+        stacks, covs, systems = [], [], []
+        eigensystem = estimation.top_k_eigensystem
+
+        def op(y):
+            stacks.append(y.copy())
+            covs.append(estimation._projected_covariance(y))
+            return covs[-1]
+
+        def recorded(m, k):
+            systems.append(eigensystem(m, k))
+            return systems[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "top_k_eigensystem", recorded)
+            if budget is not None:
+                mp.setattr(tensor, "_CHUNK_ELEMS", max(1, int(budget * x[0].size)))
+            loadings, _, sweeps, _, _, factors = estimation.iterate_projected_fit(
+                x, ranks, init, op, center, max_iter=2, update_within_sweep=update)
+        # the same sweeps through projected_series, from the sweep loop's
+        # own eigensystems, so that only the contraction order differs
+        current, i = list(init), 0
+        for _ in range(sweeps):
+            start = list(current)
+            for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
+                projector = current if update else start
+                want = projected_series(x, projector, d, center)
+                assert relative_error(stacks[i], want) <= 1e-12
+                want = projected_mode_covariance(x, projector, d, center)
+                assert relative_error(covs[i], want) <= 1e-12
+                current[d] = np.sqrt(p_d) * systems[i].vectors[:, :k_d]
+                i += 1
+        assert i == len(stacks)
+        assert all(np.array_equal(a, b) for a, b in zip(loadings, current))
+        if update:
+            assert relative_error(factors, extract_factors(x, current, center)) <= 1e-12
+        else:
+            assert factors is None
+
+    @pytest.mark.parametrize("per_chunk", [None, 1])
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (6, 5, 4, 5)])
+    @pytest.mark.parametrize("fit_fn", [ipmopca_fit, itipup_fit])
+    def test_two_full_size_products_a_sweep(self, monkeypatch, fit_fn, dims, per_chunk):
+        config = scenario_config("II", 20, dims, (2,) * len(dims), seed=5)
+        x, _ = simulate_dataset(config)
+        if per_chunk is not None:
+            monkeypatch.setattr(tensor, "_CHUNK_ELEMS", per_chunk * x[0].size)
+        passes = full_size_passes(monkeypatch, x)
+        fit = fit_fn(x, (2,) * len(dims))
+        assert fit.iterations >= 2
+        assert passes() == 2 * fit.iterations
+
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (6, 5, 4, 5)])
+    def test_frozen_sweeps(self, monkeypatch, dims):
+        # pmopca: one frozen sweep plus extract_factors; estimate_ranks with
+        # loadings: the frozen sweep alone
+        config = scenario_config("II", 20, dims, (2,) * len(dims), seed=5)
+        x, _ = simulate_dataset(config)
+        init = mopca_fit(x, (2,) * len(dims)).loadings
+        passes = full_size_passes(monkeypatch, x)
+        pmopca_fit(x, init=init)
+        assert passes() == 3
+        estimate_ranks(x, loadings=init, center=True)
+        assert passes() == 3 + 2
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("fit_fn", [ipmopca_fit, itipup_fit])
+    def test_sweeps_build_the_factors(self, monkeypatch, fit_fn, center):
+        x, _ = simulate_dataset(scenario_config("II", 20, (7, 6, 5), (2, 3, 2), seed=8))
+        calls = []
+        original = estimation.extract_factors
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "extract_factors", counted)
+        fit = fit_fn(x + 5.0, (2, 3, 2), center=center)
+        assert not calls
+        want = original(x + 5.0, fit.loadings, center)
+        assert relative_error(fit.factors, want) <= 1e-12
+        frozen = fit_fn(x + 5.0, (2, 3, 2), center=center, update_within_sweep=False)
+        assert len(calls) == 1
+        assert frozen.factors.tobytes() == original(x + 5.0, frozen.loadings,
+                                                    center).tobytes()
+
+    @settings(max_examples=24, deadline=None)
+    @given(perm=st.permutations(range(4)),
+           fit_fn=st.sampled_from([mopca_fit, pmopca_fit, frozen_ipmopca_fit]))
+    def test_mode_permutation_equivariance(self, perm, fit_fn):
+        # the contraction order follows p_d / k_d, not the mode order
+        base = fit_fn(_PERMUTED_SERIES, _PERMUTED_RANKS)
+        permuted = fit_fn(_PERMUTED_SERIES.transpose(0, *(d + 1 for d in perm)),
+                          tuple(_PERMUTED_RANKS[d] for d in perm))
+        assert permuted.iterations == base.iterations
+        for a, d in zip(permuted.loadings, perm):
+            assert np.max(np.abs(a - base.loadings[d])) <= 1e-10
+
+    @pytest.mark.parametrize("fit_fn", ALL_FITS)
+    def test_one_way_fit_at_a_one_tensor_budget(self, monkeypatch, fit_fn):
+        # runs of a 1-way series hold two tensors or more, so no product
+        # has one row and the bits are those of the default budget
+        x, _ = simulate_dataset(scenario_config("II", 11, (9,), (2,), seed=2))
+        moments = series_moments(x, (0, 1), center=True)
+        want = fit_fn(x, (2,), moments=moments)
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", x[0].size)
+        got = fit_fn(x, (2,), moments=moments)
+        for a, b in zip(got.loadings + got.eigvals + [got.factors],
+                        want.loadings + want.eigvals + [want.factors]):
+            assert a.tobytes() == b.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import needs_vmhwm, run_peak_script
+from conftest import fortran_payload, needs_vmhwm, run_peak_script
 from tuckerfactor import (
     BadMagicError,
     PayloadSizeError,
@@ -78,6 +78,19 @@ class TestRoundTrip:
         header = 16 + 8 * 3
         values = struct.unpack("<8d", raw[header:])
         assert values == tuple(float(v) for v in range(1, 9))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "reversed", "fortran", "strided"])
+@pytest.mark.parametrize("shape", [(5, 7), (4, 3, 5), (3, 4, 2, 5), (2, 3, 2, 4, 3)])
+def test_payload_bytes_match_a_fortran_ravel(tmp_path, rng, shape, layout):
+    data = rng.standard_normal(shape)
+    data = {"contiguous": data, "reversed": data[:, ::-1],
+            "fortran": np.asfortranarray(data),
+            "strided": np.repeat(data, 2, axis=-1)[..., ::2]}[layout]
+    path = tmp_path / "series.tnsf"
+    write_tensor_series(path, data)
+    header = 16 + 8 * (len(shape) - 1)
+    assert path.read_bytes()[header:] == fortran_payload(data)
 
 
 class TestCorruption:

@@ -1,6 +1,7 @@
 """Tests for the summary of ``tools/paired_bench.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,40 @@ def test_higher_is_better_and_missing_metrics_are_skipped():
 
 def test_seed_ranges():
     assert paired_bench._seeds("1-3,7") == [1, 2, 3, 7]
+
+
+def test_each_pair_is_saved_and_a_failed_run_stops(monkeypatch):
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append(seed)
+        if seed == 3 and len(calls) == 6:  # the second run of the third pair
+            raise RuntimeError(f"run.py failed in {root} (seed {seed}): boom")
+        return {"metrics": {"fit_s": float(seed)}}
+
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    report = {"pairs": [], "held_out": []}
+    saved = []
+    finished = paired_bench.run_pairs(
+        "parent-tree", "files", [1, 2, 3, 4], [9], 1.0, report,
+        lambda: saved.append(json.loads(json.dumps(report))))
+    assert not finished
+    assert [p["seed"] for p in report["pairs"]] == [1, 2]
+    assert [len(s["pairs"]) for s in saved] == [1, 2, 2]
+    assert "boom" in saved[-1]["failed"] and "failed" not in saved[1]
+    # alternating order, and nothing run after the failure
+    assert [p["order"] for p in report["pairs"]] == [["parent", "change"],
+                                                     ["change", "parent"]]
+    assert calls == [1, 1, 2, 2, 3, 3]
+    assert report["held_out"] == []
+
+
+def test_held_out_runs_follow_the_pairs_and_are_saved(monkeypatch):
+    monkeypatch.setattr(paired_bench, "run_once",
+                        lambda root, workload, seed, seconds: {"metrics": {}})
+    report = {"pairs": [], "held_out": []}
+    saved = []
+    assert paired_bench.run_pairs("parent-tree", "files", [1, 2], [7], 1.0, report,
+                                  lambda: saved.append(len(report["held_out"])))
+    assert saved == [0, 0, 1]
+    assert report["held_out"][0]["order"] == ["parent", "change"]

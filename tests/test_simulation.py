@@ -214,14 +214,15 @@ def whole_array_dataset(config, replication):
 class TestChunkedAssembly:
     @pytest.mark.parametrize("name, dims", [
         ("IV", (5, 4, 3)), ("II", (4, 3, 5, 2)), ("III", (6, 7, 2)),
-        ("IV", (11, 4, 3)), ("II", (7, 5)),
+        ("IV", (11, 4, 3)), ("II", (7, 5)), ("II", (9,)),
     ])
     @pytest.mark.parametrize("per_chunk", [1, 3, None, 1 / 2, 1 / 3])
     def test_matches_whole_array_reference(self, monkeypatch, name, dims, per_chunk):
         # chunks of 1 or 3 whole tensors make T=11 span several chunks with
         # a ragged last one; None keeps the default budget (one chunk); a
         # half or a third of a tensor cuts every tensor into windows, the
-        # last one ragged (of 2 slabs for the 11 rows of (11, 4, 3))
+        # last one ragged (of 2 slabs for the 11 rows of (11, 4, 3)); a
+        # 1-way series takes runs of two tensors at any of these budgets
         if per_chunk is not None:
             monkeypatch.setattr(tensor, "_CHUNK_ELEMS",
                                 int(per_chunk * int(np.prod(dims))))

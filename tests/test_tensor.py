@@ -248,6 +248,17 @@ class TestFusedModeGrams:
                 assert g.shape == (p_d, p_d)
                 assert relative_error(g, want) <= 1e-12
 
+    @pytest.mark.parametrize("lags", [(0,), (0, 1)])
+    @pytest.mark.parametrize("t_len", [2, 5, 6, 7])
+    def test_one_way_runs_at_a_one_tensor_budget(self, monkeypatch, rng, t_len, lags):
+        # runs of two tensors, the last of three for an odd T
+        x = rng.standard_normal((t_len, 3)) + 1.0
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", 3)
+        out = tensor_module._mode_grams(x, x.mean(axis=0), lags)
+        xc = x - x.mean(axis=0)
+        for h, (g,) in zip(lags, out):
+            assert relative_error(g, unfold_gram(xc[:t_len - h], xc[h:], 0)) <= 1e-12
+
     def test_one_chunk_matches_whole_array_gram(self, rng):
         # a series in one chunk gets the whole-array kernel's bits
         x = rng.standard_normal((5, 4, 3, 6))
@@ -276,7 +287,10 @@ class TestPieces:
         for s in pieces:
             count[s] += 1
             n = count[s].size
-            if not windowed:  # runs of whole tensors
+            if len(shape) == 2:  # a 1-way series: runs of two tensors or more
+                assert n <= max(budget, 3 * size)
+                assert n >= min(2, shape[0]) * size
+            elif not windowed:  # runs of whole tensors
                 assert n <= max(budget, size) or n == size
             else:  # one tensor's window of whole slabs along the axis
                 slab = size // shape[axis]
@@ -288,7 +302,7 @@ class TestPieces:
         if windowed:  # window by window, each for t = 0..T-1
             assert [s[0].start for s in pieces] == list(range(shape[0])) * (
                 len(pieces) // shape[0])
-        assert windowed == (axis > 0 and size > budget and axis < len(shape))
+        assert windowed == (axis > 0 and size > budget and 2 < len(shape) > axis)
 
 
 class TestMultiModeProduct:

@@ -17,7 +17,10 @@ run's metrics, correctness and detail line; for each end-to-end metric
 of ``BENCHMARK.json``, each side's median and quartiles, the pairs the
 working tree won, lost and tied, and whether the gain rule holds (wins
 in at least nine tenths of the pairs, and medians apart by more than the
-parent's interquartile range, in the metric's better direction).
+parent's interquartile range, in the metric's better direction).  The
+file is written again after every pair, so an interrupted script keeps
+its finished pairs.  A failed run stops the script with exit status 1;
+its error, with the run's stderr, is kept under ``failed``.
 """
 
 from __future__ import annotations
@@ -101,18 +104,30 @@ def run_once(root, workload, seed, seconds):
     return result
 
 
-def run_pairs(parent_root, workload, seeds, seconds, first_pair=0):
-    pairs = []
-    for i, seed in enumerate(seeds, first_pair):
+def run_pairs(parent_root, workload, seeds, held_out, seconds, report, save):
+    """Append the pairs of ``seeds`` to ``report["pairs"]``, then those of
+    ``held_out`` to ``report["held_out"]``, calling ``save()`` after each.
+
+    A failed run stops the runs: its error goes to ``report["failed"]``,
+    which is saved, and False is returned.
+    """
+    runs = [("pairs", seed) for seed in seeds] + [("held_out", s) for s in held_out]
+    for i, (key, seed) in enumerate(runs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "order": list(order)}
-        for side in order:
-            pair[side] = run_once(parent_root if side == "parent" else ROOT,
-                                  workload, seed, seconds)
-            print(f"{workload} seed {seed} {side}: "
-                  f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
-        pairs.append(pair)
-    return pairs
+        try:
+            for side in order:
+                pair[side] = run_once(parent_root if side == "parent" else ROOT,
+                                      workload, seed, seconds)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+        except RuntimeError as err:
+            report["failed"] = str(err)
+            save()
+            return False
+        report[key].append(pair)
+        save()
+    return True
 
 
 def _values(pairs):
@@ -134,24 +149,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
+    report = {"workload": args.workload, "parent": sha, "seconds": args.seconds,
+              "summary": {}, "held_out_summary": {}, "pairs": [], "held_out": []}
+    out = args.out or ROOT / f"BENCH_{args.workload}_pairs.json"
+
+    def save():
+        metrics = bench["end_to_end"]
+        report["summary"] = summarize(_values(report["pairs"]), metrics)
+        report["held_out_summary"] = summarize(_values(report["held_out"]), metrics)
+        out.write_text(json.dumps(report, indent=1) + "\n")
+
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        pairs = run_pairs(tmp, args.workload, args.seeds, args.seconds)
-        held_out = run_pairs(tmp, args.workload, args.held_out, args.seconds,
-                             first_pair=len(pairs))
-    report = {
-        "workload": args.workload,
-        "parent": sha,
-        "seconds": args.seconds,
-        "summary": summarize(_values(pairs), bench["end_to_end"]),
-        "held_out_summary": summarize(_values(held_out), bench["end_to_end"]),
-        "pairs": pairs,
-        "held_out": held_out,
-    }
-    out = args.out or ROOT / f"BENCH_{args.workload}_pairs.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
+        finished = run_pairs(tmp, args.workload, args.seeds, args.held_out,
+                             args.seconds, report, save)
+    if not finished:
+        print(f"stopped: {report['failed']}", file=sys.stderr)
+        return 1
     for name, s in report["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} "
               f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "

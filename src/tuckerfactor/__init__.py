@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .simulation import (
     SCENARIOS,
-    SIZE_GRID,
     SimConfig,
     SimTruth,
     generate_loadings,
@@ -62,7 +61,6 @@ from .simulation import (
     simulate_noise_path,
 )
 from .spectral import (
-    EigenSystem,
     projection_matrix,
     subspace_distance,
     thin_left_singular,
@@ -82,14 +80,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadMagicError",
-    "EigenSystem",
     "EstimatorConfig",
     "EvalReport",
     "ExperimentConfig",
     "FactorFit",
     "PayloadSizeError",
     "SCENARIOS",
-    "SIZE_GRID",
     "SeriesMoments",
     "SimConfig",
     "SimTruth",

@@ -6,8 +6,9 @@ ratio rank selection), ``reconstruct`` (apply saved loadings, report the
 reconstruction error) and ``bench`` (replication study from a config
 file).
 
-Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
-3 numeric failure.
+Exit codes: 0 success, 1 usage error (including an option value, from
+a flag or the ``bench`` config, that cannot be parsed or fails
+validation), 2 I/O or file-format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
-from .baseline import _tipup_loadings, _tipup_moments
-from .estimation import (
-    _pca_loadings,
-    extract_factors,
-    reconstruct_signals,
-    series_moments,
-    varimax,
-)
+from .estimation import _start, extract_factors, reconstruct_signals, varimax
 from .experiment import (
     METHODS,
+    OPTIONS,
     EstimatorConfig,
+    _ints,
+    _parse_option,
     parse_experiment_config,
     run_experiment,
 )
@@ -63,57 +61,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _parse_dims(text):
-    try:
-        values = tuple(int(v) for v in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ValueError(f"could not parse dimension list {text!r}") from exc
-    if not values:
-        raise ValueError("empty dimension list")
-    return values
+def _usage_error(command, message):
+    print(f"tuckerfactor {command}: error: {message}", file=sys.stderr)
+    return USAGE_EXIT
 
 
-def _count(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _typed(parse):
+    """``parse`` as an argparse type: a value it rejects is a usage error
+    naming the flag."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
 
 
-def _positive(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _add_estimator_flags(p, names=tuple(OPTIONS)):
+    """The flags of the estimator options ``names``, from :data:`OPTIONS`;
+    an option left out stays None (see :func:`_estimator_options`)."""
+    for name in names:
+        key, flag, _, help_text = OPTIONS[name]
+        if flag.startswith("--no-"):
+            p.add_argument(flag, dest=name, action="store_false", default=None,
+                           help=help_text)
+        else:
+            p.add_argument(flag, dest=name, type=_typed(partial(_parse_option, name)),
+                           metavar=key.upper(), help=help_text)
 
 
-def _parse_ranks_arg(text):
-    text = text.strip()
-    if text == "auto":
-        return "auto"
-    return _parse_dims(text)
-
-
-def _add_estimator_flags(p):
-    p.add_argument("--method", default="mopca", choices=list(METHODS))
-    p.add_argument("--ranks", default="auto",
-                   help="comma-separated ranks per mode, or 'auto'")
-    p.add_argument("--kmax", type=int, default=None,
-                   help="search bound for automatic rank selection")
-    p.add_argument("--tol", type=_positive, default=1e-6)
-    p.add_argument("--max-iter", type=_count, default=50)
-    p.add_argument("--no-center", action="store_true",
-                   help="skip subtracting the temporal mean tensor")
-    p.add_argument("--no-update-within-sweep", action="store_true",
-                   help="freeze projections within each refinement sweep")
-    p.add_argument("--lags", type=_count, default=1,
-                   help="auto-covariance lag count for itipup")
+def _estimator_options(args):
+    return {name: getattr(args, name) for name in OPTIONS
+            if getattr(args, name, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="write a simulated dataset")
     p_sim.add_argument("--out", required=True, help="output data file")
     p_sim.add_argument("--T", type=int, default=20, dest="T")
-    p_sim.add_argument("--dims", default="20,20,20")
-    p_sim.add_argument("--ranks", default="2,3,4")
-    p_sim.add_argument("--phi", type=float, default=None)
-    p_sim.add_argument("--psi", type=float, default=None)
+    p_sim.add_argument("--dims", type=_typed(_ints), default="20,20,20")
+    p_sim.add_argument("--ranks", type=_typed(_ints), default="2,3,4")
+    p_sim.add_argument("--phi", type=float, default=0.0)
+    p_sim.add_argument("--psi", type=float, default=0.0)
     p_sim.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--rep", type=int, default=0,
@@ -139,14 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output prefix for loadings/factors")
     p_est.add_argument("--varimax", action="store_true",
                        help="rotate loadings for interpretability before saving")
+    p_est.add_argument("--method", default="mopca", choices=list(METHODS))
     _add_estimator_flags(p_est)
 
     p_rank = sub.add_parser("rank", help="eigenvalue-ratio rank selection")
     p_rank.add_argument("data")
-    p_rank.add_argument("--kmax", type=int, default=None)
     p_rank.add_argument("--method", default="mopca", choices=["mopca", "itipup"])
-    p_rank.add_argument("--lags", type=_count, default=1)
-    p_rank.add_argument("--no-center", action="store_true")
+    _add_estimator_flags(p_rank, ("k_max", "lags", "center"))
 
     p_rec = sub.add_parser("reconstruct", help="apply saved loadings")
     p_rec.add_argument("data")
@@ -165,30 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--methods", default=None,
                          help="comma-separated methods override")
-    p_bench.add_argument("--kmax", type=int, default=None)
-    p_bench.add_argument("--tol", type=_positive, default=None)
-    p_bench.add_argument("--max-iter", type=_count, default=None)
-    p_bench.add_argument("--ranks", default=None)
-    p_bench.add_argument("--lags", type=_count, default=None)
-    p_bench.add_argument("--no-center", action="store_true")
-    p_bench.add_argument("--no-update-within-sweep", action="store_true")
+    _add_estimator_flags(p_bench)
     p_bench.add_argument("--varimax", action="store_true")
     p_bench.add_argument("--emit-loadings", action="store_true")
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    phi, psi = args.phi, args.psi
-    if args.scenario is not None:
-        phi, psi = SCENARIOS[args.scenario]
-    config = SimConfig(
-        T=args.T,
-        dims=_parse_dims(args.dims),
-        ranks=_parse_dims(args.ranks),
-        phi=0.0 if phi is None else phi,
-        psi=0.0 if psi is None else psi,
-        seed=args.seed,
-    )
+    phi, psi = SCENARIOS[args.scenario] if args.scenario else (args.phi, args.psi)
+    try:
+        config = SimConfig(T=args.T, dims=args.dims, ranks=args.ranks, phi=phi,
+                           psi=psi, seed=args.seed)
+    except ValueError as exc:
+        return _usage_error("simulate", exc)
     series, truth = simulate_dataset(config, args.rep)
     write_tensor_series(args.out, series)
     write_loadings(f"{args.out}.truth", truth.loadings)
@@ -198,22 +165,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimator_config_from_args(args) -> EstimatorConfig:
-    return EstimatorConfig(
-        method=args.method,
-        ranks=_parse_ranks_arg(args.ranks),
-        k_max=args.kmax,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        update_within_sweep=not args.no_update_within_sweep,
-        center=not args.no_center,
-        lags=args.lags,
-    )
-
-
 def _cmd_estimate(args) -> int:
+    cfg = EstimatorConfig(method=args.method, **_estimator_options(args))
     series = read_tensor_series(args.data)
-    cfg = _estimator_config_from_args(args)
     start = time.perf_counter()
     fit = METHODS[args.method].fit(series, cfg, None)
     seconds = time.perf_counter() - start
@@ -229,16 +183,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    cfg = EstimatorConfig(method=args.method, **_estimator_options(args))
     series = read_tensor_series(args.data)
     # the fits' own start: one moment pass, centring chunk by chunk
-    center = not args.no_center
-    if args.method == "itipup":
-        moments = _tipup_moments(series, None, center, args.lags)
-        loadings, spectra = _tipup_loadings(series, moments, "auto", args.kmax,
-                                            args.lags)
-    else:
-        loadings, spectra = _pca_loadings(series_moments(series, (0,), center),
-                                          "auto", args.kmax)
+    _, loadings, spectra = _start(series, METHODS[args.method].lags(cfg), "auto",
+                                  cfg.k_max, cfg.center, None)
     print(",".join(str(a.shape[1]) for a in loadings))
     for d, values in enumerate(spectra):
         listing = " ".join(f"{v:.6g}" for v in values)
@@ -284,7 +233,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = parse_experiment_config(args.config)
+    try:
+        config = parse_experiment_config(args.config)
+    except ValueError as exc:  # a value of the file, named by its key
+        return _usage_error("bench", f"{args.config}: {exc}")
     if args.out is not None:
         config.out_dir = args.out
     if args.reps is not None:
@@ -297,22 +249,9 @@ def _cmd_bench(args) -> int:
         config.methods = [m.strip() for m in args.methods.replace(",", " ").split()]
     unknown = [m for m in config.methods if m not in METHODS]
     if unknown:  # from the file or the flag: a usage error, before any output
-        print(f"tuckerfactor bench: error: unknown method {unknown[0]!r} "
-              f"(choose from {', '.join(METHODS)})", file=sys.stderr)
-        return USAGE_EXIT
-    # one replace per config, so the overrides are validated like the file
-    overrides = {}
-    for field, value in (("k_max", args.kmax), ("tol", args.tol),
-                         ("max_iter", args.max_iter), ("lags", args.lags)):
-        if value is not None:
-            overrides[field] = value
-    if args.ranks is not None:
-        overrides["ranks"] = _parse_ranks_arg(args.ranks)
-    if args.no_center:
-        overrides["center"] = False
-    if args.no_update_within_sweep:
-        overrides["update_within_sweep"] = False
-    config.estimators = {m: dataclasses.replace(cfg, **overrides)
+        return _usage_error("bench", f"unknown method {unknown[0]!r} "
+                            f"(choose from {', '.join(METHODS)})")
+    config.estimators = {m: dataclasses.replace(cfg, **_estimator_options(args))
                          for m, cfg in config.estimators.items()}
     if args.varimax:
         config.apply_varimax = True

@@ -7,23 +7,30 @@ each observation as a low-rank signal plus noise,
     X_t = F_t x_1 A_1 x_2 ... x_D A_D + E_t,
 
 with loadings ``A_d`` of shape ``(p_d, k_d)`` normalized so that
-``A_d.T @ A_d = p_d * I``.  Three estimators are provided:
+``A_d.T @ A_d = p_d * I``.  Four estimators share one driver:
 
 * :func:`mopca_fit` - PCA on each mode's raw unfolding covariance;
 * :func:`pmopca_fit` - one projection step through frozen initial
   loadings before the per-mode PCA;
 * :func:`ipmopca_fit` - alternating projected PCA sweeps with optional
-  within-sweep updates, stopped by a projector-distance criterion.
+  within-sweep updates, stopped by a projector-distance criterion;
+* :func:`~tuckerfactor.baseline.itipup_fit` - the same sweeps on lagged
+  auto-covariances (iTIPUP).
 
-Rank selection by consecutive eigenvalue ratios and a varimax rotation
-for loading interpretation round out the module.
+One operator (:func:`_mode_matrix`) maps a mode's Gram matrices at a
+method's lags, 0 or ``1..h0``, to its matrix, for the start spectra and
+for every sweep's stacks; the methods differ only in those lags and in
+the sweeps that follow the start (none, one frozen, or up to
+``max_iter``).  Rank selection by eigenvalue ratios reads the same
+start spectra; a varimax rotation rounds out the module.
 
 Centring holds the series once: no estimator builds ``X_t - mean``.
 The mean and the mode covariances come from :func:`series_moments`, one
 pass (``tensor._mode_grams``) that centres the series piece by piece
 into reused buffers and accumulates every mode's Gram matrix from them.
 Its :class:`SeriesMoments` can be passed to several fits of one series
-as ``moments=``, so they share that pass and the mode spectra.
+as ``moments=``, so they share that pass and the start spectra, which
+it keeps per lag set.
 Projections and factors are taken one run of whole tensors at a time
 and centred after projecting: by linearity ``P(X_t - mean) = P(X_t) -
 mean_s P(X_s)``, so the small projected stack's own temporal mean is
@@ -39,7 +46,7 @@ tensor, the mean, at any tensor size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -128,13 +135,15 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
     ``p`` is the full tensor size ``p_1 * ... * p_D``.  The result is
     symmetric positive semidefinite of shape ``(p_d, p_d)``.
     """
-    x = _as_series(x)
-    d_count = x.ndim - 1
-    if not 0 <= mode < d_count:
-        raise ValueError(f"mode {mode} out of range for {d_count}-way data")
-    m = _mode_gram(x, x, mode + 1) / x.size
-    _check_finite([m])
-    return (m + m.T) / 2.0
+    return _series_matrix(_as_series(x), mode, (0,))
+
+
+def _series_matrix(x, mode, lags):
+    """Mode ``mode``'s :func:`_mode_matrix` of the series ``x`` at ``lags``,
+    over ``p``: the path of the layer functions."""
+    if not 0 <= mode < x.ndim - 1:
+        raise ValueError(f"mode {mode} out of range for {x.ndim - 1}-way data")
+    return _projected_covariance(x, lags, mode + 1, x.size // x.shape[0])
 
 
 def projected_series(x: np.ndarray, loadings, mode: int,
@@ -172,10 +181,27 @@ def projected_mode_covariance(x: np.ndarray, loadings, mode: int,
     return _projected_covariance(projected_series(x, loadings, mode, center))
 
 
-def _projected_covariance(y):
-    """The stack operator of the projected PCA fits: ``sum_t Y_t Y_t' / (T
-    p_d)`` of a stack ``y`` of shape ``(T, p_d, k_-d)``."""
-    m = _mode_gram(y, y, 1) / (y.shape[0] * y.shape[1])
+def _projected_covariance(y, lags=(0,), axis=1, scale=None):
+    """The :func:`_mode_matrix` at ``lags`` of a series or stack ``y`` along
+    ``axis``, over ``scale`` (``p_d`` by default).  The sweeps' stack
+    operator: at lag 0, ``sum_t Y_t Y_t' / (T p_d)`` of a stack ``(T, p_d,
+    k_-d)``."""
+    grams = [_mode_gram(y[:len(y) - h], y[h:], axis) for h in lags]
+    return _mode_matrix(grams, lags, len(y), scale or y.shape[axis])
+
+
+def _mode_matrix(grams, lags, n, scale):
+    """Every method's operator: a mode's symmetric matrix from its Gram
+    matrices at the method's ``lags`` of ``n`` observations.  Lag 0 gives
+    ``G_0 / (n scale)`` (the PCA fits), lags ``1..h0`` give ``sum_h W_h
+    W_h'`` with ``W_h = G_h / ((n - h) scale)`` (iTIPUP)."""
+    if lags == (0,):
+        m = grams[0] / (n * scale)
+    else:
+        m = np.zeros(grams[0].shape)
+        for g, h in zip(grams, lags):
+            w = g / ((n - h) * scale)
+            m += w @ w.T
     _check_finite([m])
     return (m + m.T) / 2.0
 
@@ -276,16 +302,22 @@ class SeriesMoments:
     lags: tuple[int, ...]
     mean: np.ndarray | None
     grams: dict[int, tuple[np.ndarray, ...]]
+    _systems: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def eigensystems(self) -> tuple[EigenSystem, ...]:
-        """Every mode's full eigensystem of the lag-0 covariance, computed
-        on first use and kept."""
-        scaled = (g / math.prod(self.shape) for g in self.grams[0])
-        systems = tuple(_eigensystems((m + m.T) / 2.0 for m in scaled))
-        for es in systems:
-            es.values.flags.writeable = es.vectors.flags.writeable = False
-        return systems
+    def eigensystems(self, lags=(0,)) -> tuple[EigenSystem, ...]:
+        """Every mode's full eigensystem of its :func:`_mode_matrix` at
+        ``lags`` (the start spectra), computed on first use per lag set and
+        kept, read-only."""
+        lags = tuple(lags)
+        if lags not in self._systems:
+            n, p = self.shape[0], math.prod(self.shape[1:])
+            systems = tuple(top_k_eigensystem(m, m.shape[0]) for m in (
+                _mode_matrix([self.grams[h][d] for h in lags], lags, n, p)
+                for d in range(len(self.shape) - 1)))
+            for es in systems:
+                es.values.flags.writeable = es.vectors.flags.writeable = False
+            self._systems[lags] = systems
+        return self._systems[lags]
 
 
 def series_moments(x, lags=(0,), center: bool = True) -> SeriesMoments:
@@ -333,19 +365,31 @@ def estimate_ranks(
 
     Ratios are formed from the mode covariance spectra (those of
     ``moments``, lag 0, when given), or from the projected covariance
-    spectra when ``loadings`` is supplied.
+    spectra when ``loadings`` is supplied, which are checked as the fits
+    check ``init`` before any pass.
     """
     x = _as_series(x)
     if loadings is None:
-        fitted, _ = _pca_loadings(_moments_for(x, moments, center, (0,)),
-                                  "auto", k_max)
+        fitted = _start(x, (0,), "auto", k_max, center, moments)[1]
     else:
         # the spectra of one sweep through the frozen ``loadings``
+        loadings = _check_init(loadings, x.shape[1:], "loadings")
         fitted, _ = _loadings_from_spectra(
             x.shape[1:], "auto", k_max, lambda: iterate_projected_fit(
-                x, [np.shape(a)[1] for a in loadings], loadings, _projected_covariance,
+                x, [a.shape[1] for a in loadings], loadings, _projected_covariance,
                 center, max_iter=1, update_within_sweep=False)[1])
     return tuple(a.shape[1] for a in fitted)
+
+
+def _start(x, lags, ranks, k_max, center, moments):
+    """``(moments, loadings, spectra)`` of a series: ``moments`` checked for
+    ``lags`` (or the series' own), and every mode's start loadings and raw
+    spectrum from its cached eigensystem at ``lags``."""
+    if lags[-1] >= x.shape[0]:
+        raise ValueError(f"h0={lags[-1]} requires at least {lags[-1] + 1} observations")
+    moments = _moments_for(x, moments, center, lags)
+    return (moments, *_loadings_from_spectra(x.shape[1:], ranks, k_max,
+                                             lambda: moments.eigensystems(lags)))
 
 
 def _loadings_from_spectra(dims, ranks, k_max, systems_fn):
@@ -388,30 +432,49 @@ def _nondegenerate(d, es):
     return es
 
 
-def _eigensystems(covs):
-    return [top_k_eigensystem(c, c.shape[0]) for c in covs]
-
-
-def _pca_loadings(moments, ranks, k_max):
-    return _loadings_from_spectra(moments.shape[1:], ranks, k_max,
-                                  lambda: moments.eigensystems)
-
-
-def _check_init(init, dims):
+def _check_init(init, dims, name="init"):
     """``init`` as float matrices, checked before any pass over the series:
     one per mode, with ``p_d`` rows, finite and of full column rank."""
     if init is None:
         return None
     init = [np.asarray(a, dtype=float) for a in init]
     if len(init) != len(dims):
-        raise ValueError(f"init has {len(init)} matrices for {len(dims)} modes")
+        raise ValueError(f"{name} has {len(init)} matrices for {len(dims)} modes")
     for d, (a, p_d) in enumerate(zip(init, dims)):
         if a.ndim != 2 or a.shape[0] != p_d or a.shape[1] < 1:
-            raise ValueError(f"init for mode {d} has shape {a.shape}; it needs "
+            raise ValueError(f"{name} for mode {d} has shape {a.shape}; it needs "
                              f"{p_d} rows and at least one column")
         if not np.isfinite(a).all() or np.linalg.matrix_rank(a) < a.shape[1]:
-            raise ValueError(f"init for mode {d} is not finite and of full column rank")
+            raise ValueError(f"{name} for mode {d} is not finite and of full "
+                             "column rank")
     return init
+
+
+def _fit(x, lags, ranks, k_max, center, moments, init=None, max_iter=None,
+         tol=DEFAULT_TOL, update_within_sweep=True) -> FactorFit:
+    """The estimator driver that every public fit calls: from ``init``, or
+    else the cached start spectra at ``lags``, it runs no sweeps (``max_iter``
+    None) or up to ``max_iter`` sweeps on the stacks' matrices at ``lags``.
+    """
+    x = _as_series(x)
+    init = _check_init(init, x.shape[1:])
+    if init is None:
+        moments, init, spectra = _start(x, lags, ranks, k_max, center, moments)
+    else:
+        moments = _moments_for(x, moments, center, ())
+    # the start fixes the ranks under "auto"
+    ranks = (tuple(a.shape[1] for a in init) if isinstance(ranks, str)
+             else _check_ranks(ranks, x.shape[1:]))
+    loadings, sweeps, converged, history, factors = init, 0, True, [], None
+    if max_iter is not None:
+        loadings, systems, sweeps, converged, history, factors = iterate_projected_fit(
+            x, ranks, init, lambda y: _projected_covariance(y, lags), center, tol,
+            max_iter, update_within_sweep)
+        spectra = [es.values for es in systems]
+    if factors is None:
+        factors = extract_factors(x, loadings, center)
+    return FactorFit(loadings, factors, [np.maximum(v, 0.0) for v in spectra],
+                     sweeps, converged, history, moments.mean)
 
 
 def mopca_fit(
@@ -441,18 +504,7 @@ def mopca_fit(
         ``series_moments(x, lags, center)`` with lag 0, shared with other
         fits of ``x``; built here when omitted.  Every fit takes it.
     """
-    x = _as_series(x)
-    moments = _moments_for(x, moments, center, (0,))
-    loadings, spectra = _pca_loadings(moments, ranks, k_max)
-    return FactorFit(
-        loadings=loadings,
-        factors=extract_factors(x, loadings, center),
-        eigvals=[np.maximum(v, 0.0) for v in spectra],
-        iterations=0,
-        converged=True,
-        per_sweep_distance=[],
-        mean=moments.mean,
-    )
+    return _fit(x, (0,), ranks, k_max, center, moments)
 
 
 def pmopca_fit(
@@ -472,9 +524,8 @@ def pmopca_fit(
     :func:`ipmopca_fit`.  This is one sweep of :func:`ipmopca_fit`
     without within-sweep updates, reported as converged.
     """
-    fit = ipmopca_fit(x, ranks, init, max_iter=1, update_within_sweep=False,
-                      center=center, k_max=k_max, moments=moments)
-    return replace(fit, converged=True)
+    return _fit(x, (0,), ranks, k_max, center, moments, init, max_iter=1,
+                tol=np.inf, update_within_sweep=False)
 
 
 def iterate_projected_fit(
@@ -486,7 +537,6 @@ def iterate_projected_fit(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     update_within_sweep: bool = True,
-    stop_norm: str = "spectral",
 ):
     """Shared sweep loop of the projected estimators.
 
@@ -508,8 +558,8 @@ def iterate_projected_fit(
     are None.  Returns ``(loadings, systems, sweeps, converged, history,
     factors)``, ``systems[d]`` being mode d's last full eigensystem.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     dims, p = x.shape[1:], x.size // x.shape[0]
@@ -527,7 +577,7 @@ def iterate_projected_fit(
             current[d] = np.sqrt(p_d) * es.vectors[:, :k_d]
             if d < len(dims) - 1:
                 prefix = _project(prefix, projector, [d])
-        history.append(max(subspace_distance(new, old, norm=stop_norm)
+        history.append(max(subspace_distance(new, old)
                            for new, old in zip(current, start)))
         converged = history[-1] <= tol
         if converged:
@@ -535,16 +585,6 @@ def iterate_projected_fit(
     factors = (_centred(_project(prefix, current, [len(dims) - 1], p), center)
                if update_within_sweep else None)
     return current, systems, sweeps, converged, history, factors
-
-
-def _projected_fit(x, center, mean, result):
-    """The :class:`FactorFit` of an :func:`iterate_projected_fit` result,
-    extracting its factors when the sweeps did not build them."""
-    loadings, systems, sweeps, converged, history, factors = result
-    if factors is None:
-        factors = extract_factors(x, loadings, center)
-    eigvals = [np.maximum(es.values, 0.0) for es in systems]
-    return FactorFit(loadings, factors, eigvals, sweeps, converged, history, mean)
 
 
 def ipmopca_fit(
@@ -556,7 +596,6 @@ def ipmopca_fit(
     update_within_sweep: bool = True,
     center: bool = True,
     k_max: int | None = None,
-    stop_norm: str = "spectral",
     *, moments: SeriesMoments | None = None,
 ) -> FactorFit:
     """Iterative projected mode-wise PCA fit.
@@ -570,17 +609,8 @@ def ipmopca_fit(
     With ``max_iter=1`` and ``update_within_sweep=False`` this reproduces
     the one-shot projected fit exactly.
     """
-    x = _as_series(x)
-    init = _check_init(init, x.shape[1:])
-    moments = _moments_for(x, moments, center, (0,) if init is None else ())
-    if init is None:
-        init, _ = _pca_loadings(moments, ranks, k_max)
-    # the start fixes the ranks under "auto"
-    ranks = (tuple(a.shape[1] for a in init) if isinstance(ranks, str)
-             else _check_ranks(ranks, x.shape[1:]))
-    return _projected_fit(x, center, moments.mean, iterate_projected_fit(
-        x, ranks, init, _projected_covariance, center, tol=tol, max_iter=max_iter,
-        update_within_sweep=update_within_sweep, stop_norm=stop_norm))
+    return _fit(x, (0,), ranks, k_max, center, moments, init, max_iter, tol,
+                update_within_sweep)
 
 
 def _varimax_criterion(b: np.ndarray) -> float:

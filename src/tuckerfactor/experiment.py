@@ -26,15 +26,16 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import estimate_ranks_tipup, itipup_fit
+from .baseline import itipup_fit
 from .estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    estimate_ranks,
+    _start,
     ipmopca_fit,
     mopca_fit,
     pmopca_fit,
@@ -58,41 +59,31 @@ CSV_COLUMNS = ["rep", "method", "mode", "distance_d", "rmse", "acc", "re", "seco
 
 
 class Method(NamedTuple):
-    """A method's fit and rank selector, both called as ``(series, cfg,
-    moments)``, and ``lags(cfg)``, the moment lags that both read."""
+    """A method's fit, called as ``(series, cfg, moments)``, and
+    ``lags(cfg)``, the lags of its mode matrices: the moment lags that its
+    fit and its rank selection read."""
 
     fit: Callable
-    select_ranks: Callable
     lags: Callable
-
-
-def _pca_ranks(x, cfg, moments):
-    return estimate_ranks(x, k_max=cfg.k_max, center=cfg.center, moments=moments)
-
-
-def _sweeps(cfg):
-    return {"tol": cfg.tol, "max_iter": cfg.max_iter,
-            "update_within_sweep": cfg.update_within_sweep}
 
 
 METHODS = {
     "mopca": Method(
         lambda x, c, m: mopca_fit(x, c.ranks, c.center, c.k_max, moments=m),
-        _pca_ranks, lambda c: (0,)),
+        lambda c: (0,)),
     "pmopca": Method(
-        lambda x, c, m: pmopca_fit(x, c.ranks, center=c.center, k_max=c.k_max,
-                                   moments=m),
-        _pca_ranks, lambda c: (0,)),
+        lambda x, c, m: pmopca_fit(x, c.ranks, None, c.center, c.k_max, moments=m),
+        lambda c: (0,)),
     "ipmopca": Method(
-        lambda x, c, m: ipmopca_fit(x, c.ranks, center=c.center, k_max=c.k_max,
-                                    moments=m, **_sweeps(c)),
-        _pca_ranks, lambda c: (0,)),
+        lambda x, c, m: ipmopca_fit(x, c.ranks, None, c.tol, c.max_iter,
+                                    c.update_within_sweep, c.center, c.k_max,
+                                    moments=m),
+        lambda c: (0,)),
     "itipup": Method(
-        lambda x, c, m: itipup_fit(x, c.ranks, h0=c.lags, center=c.center,
-                                   k_max=c.k_max, moments=m, **_sweeps(c)),
-        lambda x, c, m: estimate_ranks_tipup(x, k_max=c.k_max, h0=c.lags,
-                                             center=c.center, moments=m),
-        lambda c: range(1, c.lags + 1)),
+        lambda x, c, m: itipup_fit(x, c.ranks, c.lags, c.tol, c.max_iter,
+                                   c.update_within_sweep, c.center, c.k_max,
+                                   moments=m),
+        lambda c: tuple(range(1, c.lags + 1))),
 }
 
 
@@ -118,8 +109,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.lags < 1:
@@ -173,20 +164,24 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
               lags=()) -> tuple[EvalReport, object]:
     """Fit and score one method.  ``shared`` maps a ``center`` flag to the
     replication's moments; the first method to need one builds it at
-    ``lags`` inside its timer, so the reports' seconds sum to all the work."""
+    ``lags`` inside its timer, so the reports' seconds sum to all the work.
+    Without ``shared`` the fit builds its own, at its own lags."""
     start = time.perf_counter()
     try:
         spec = METHODS[method]
-        if shared is not None and cfg.center not in shared:
+        if shared is None:
+            shared, lags = {}, spec.lags(cfg)
+        if cfg.center not in shared:
             shared[cfg.center] = series_moments(series, lags, cfg.center)
-        moments = None if shared is None else shared[cfg.center]
+        moments = shared[cfg.center]
         fit = spec.fit(series, cfg, moments)
         s_hat = fit.signals  # built on first access: timed with the fit
         seconds = time.perf_counter() - start
-        # an automatic fit already applied the ratio rule; only explicit
-        # ranks need a separate, untimed selection
-        ranks_est = (fit.ranks if isinstance(cfg.ranks, str)
-                     else spec.select_ranks(series, cfg, moments))
+        # an automatic fit already applied the ratio rule; explicit ranks
+        # take it, untimed, from the start spectra the fit left in the moments
+        ranks_est = fit.ranks if isinstance(cfg.ranks, str) else tuple(
+            a.shape[1] for a in _start(series, spec.lags(cfg), "auto", cfg.k_max,
+                                       cfg.center, moments)[1])
     except Exception as exc:  # noqa: BLE001 - a failed rep must not kill the run
         seconds = time.perf_counter() - start
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
@@ -336,36 +331,64 @@ def _agg(values, fn):
     return float(fn(values))
 
 
-def _parse_int_tuple(text):
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _ints(text):
+    """A comma- or space-separated list of at least one integer."""
+    values = text.replace(",", " ").split()
+    if not values or not all(v.lstrip("+-").isdigit() for v in values):
+        raise ValueError(f"not a list of integers: {text!r}")
+    return tuple(map(int, values))
 
 
-def _parse_ranks(text):
-    text = text.strip()
-    if text == "auto":
-        return "auto"
-    return _parse_int_tuple(text)
+def _ranks(text):
+    return "auto" if text.strip() == "auto" else _ints(text)
 
 
-def _estimator_from_section(section, base: EstimatorConfig, method: str):
-    # one replace call, so the section's values are validated like any config
-    fields = {}
-    if section is not None:
-        if "ranks" in section:
-            fields["ranks"] = _parse_ranks(section["ranks"])
-        if "kmax" in section:
-            fields["k_max"] = section.getint("kmax")
-        if "tol" in section:
-            fields["tol"] = section.getfloat("tol")
-        if "max_iter" in section:
-            fields["max_iter"] = section.getint("max_iter")
-        if "update_within_sweep" in section:
-            fields["update_within_sweep"] = section.getboolean("update_within_sweep")
-        if "center" in section:
-            fields["center"] = section.getboolean("center")
-        if "lags" in section:
-            fields["lags"] = section.getint("lags")
-    return replace(base, method=method, **fields)
+def _boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# Every estimator option once: its EstimatorConfig field, INI key, CLI flag,
+# parser and help.  A "--no-" flag is a switch that sets its field False.
+OPTIONS = {
+    "ranks": ("ranks", "--ranks", _ranks, "comma-separated ranks per mode, or 'auto'"),
+    "k_max": ("kmax", "--kmax", int, "search bound for automatic rank selection"),
+    "tol": ("tol", "--tol", float, None),
+    "max_iter": ("max_iter", "--max-iter", int, None),
+    "update_within_sweep": ("update_within_sweep", "--no-update-within-sweep", _boolean,
+                            "freeze projections within each refinement sweep"),
+    "center": ("center", "--no-center", _boolean,
+               "skip subtracting the temporal mean tensor"),
+    "lags": ("lags", "--lags", int, "auto-covariance lag count for itipup"),
+}
+
+
+def _parse_option(name, text):
+    """The estimator option ``name`` given as ``text``, parsed by its entry
+    in :data:`OPTIONS` and validated as :class:`EstimatorConfig` does."""
+    value = OPTIONS[name][2](text)
+    EstimatorConfig(**{name: value})  # each field is validated alone
+    return value
+
+
+def _read(parser, section, key, parse, default=None):
+    """``[section] key`` of ``parser`` through ``parse``, or ``default`` when
+    absent; a value that fails raises a ValueError naming the key."""
+    if section not in parser or key not in parser[section]:
+        return default
+    try:
+        return parse(parser[section][key])
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
+
+
+def _estimator_from_section(parser, section, base: EstimatorConfig, method: str):
+    return replace(base, method=method, **{
+        name: _read(parser, section, key, partial(_parse_option, name))
+        for name, (key, *_) in OPTIONS.items()
+        if section in parser and key in parser[section]})
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -374,7 +397,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
     The file uses INI-style sections: ``[experiment]`` (methods,
     replications, seed, out, input, emit_loadings, varimax),
     ``[simulation]`` (T, dims, ranks, phi, psi or scenario, seed) and
-    ``[estimator]`` plus optional ``[estimator.<method>]`` overrides.
+    ``[estimator]`` plus optional ``[estimator.<method>]`` overrides, whose
+    keys are those of :data:`OPTIONS`.  A value that cannot be parsed or
+    fails validation raises a ValueError naming its ``[section] key``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -384,45 +409,41 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise ValueError("config file is missing the [experiment] section")
     exp = parser["experiment"]
     methods = [m.strip() for m in exp.get("methods", "mopca").replace(",", " ").split()]
-    seed = exp.getint("seed", 0)
+    seed = _read(parser, "experiment", "seed", int, 0)
+    replications = _read(parser, "experiment", "replications", int, 1)
     sim = None
-    input_path = exp.get("input", None)
     if "simulation" in parser:
-        sec = parser["simulation"]
-        phi = sec.getfloat("phi", 0.0)
-        psi = sec.getfloat("psi", 0.0)
-        if "scenario" in sec:
-            name = sec["scenario"].strip()
+        phi = _read(parser, "simulation", "phi", float, 0.0)
+        psi = _read(parser, "simulation", "psi", float, 0.0)
+        name = _read(parser, "simulation", "scenario", str.strip)
+        if name is not None:
             if name not in SCENARIOS:
-                raise ValueError(f"unknown scenario {name!r}")
+                raise ValueError(f"[simulation] scenario: unknown scenario {name!r}")
             phi, psi = SCENARIOS[name]
-        sim = SimConfig(
-            T=sec.getint("T"),
-            dims=_parse_int_tuple(sec["dims"]),
-            ranks=_parse_int_tuple(sec.get("ranks", "2,3,4")),
-            phi=phi,
-            psi=psi,
-            seed=sec.getint("seed", seed),
-            replications=exp.getint("replications", 1),
-        )
-    base = _estimator_from_section(
-        parser["estimator"] if "estimator" in parser else None,
-        EstimatorConfig(),
-        "mopca",
-    )
+        try:
+            sim = SimConfig(
+                T=_read(parser, "simulation", "T", int),
+                dims=_read(parser, "simulation", "dims", _ints),
+                ranks=_read(parser, "simulation", "ranks", _ints, (2, 3, 4)),
+                phi=phi,
+                psi=psi,
+                seed=_read(parser, "simulation", "seed", int, seed),
+                replications=replications,
+            )
+        except ValueError as exc:
+            raise ValueError(f"[simulation]: {exc}") from None
+    base = _estimator_from_section(parser, "estimator", EstimatorConfig(), "mopca")
     # every method's config, so a --methods override keeps [estimator]
-    estimators = {}
-    for method in METHODS:
-        section_name = f"estimator.{method}"
-        section = parser[section_name] if section_name in parser else None
-        estimators[method] = _estimator_from_section(section, base, method)
+    estimators = {method: _estimator_from_section(parser, f"estimator.{method}",
+                                                  base, method)
+                  for method in METHODS}
     return ExperimentConfig(
         methods=methods,
-        replications=exp.getint("replications", 1),
+        replications=replications,
         out_dir=exp.get("out", "."),
         sim=sim,
-        input_path=input_path,
+        input_path=exp.get("input", None),
         estimators=estimators,
-        emit_loadings=exp.getboolean("emit_loadings", False),
-        apply_varimax=exp.getboolean("varimax", False),
+        emit_loadings=_read(parser, "experiment", "emit_loadings", _boolean, False),
+        apply_varimax=_read(parser, "experiment", "varimax", _boolean, False),
     )

@@ -39,15 +39,6 @@ SCENARIOS = {
     "IV": (0.6, 0.8),
 }
 
-# (T, dims) study grid used by the benchmark demos, smallest to largest
-SIZE_GRID = [
-    (20, (20, 20, 20)),
-    (50, (20, 20, 20)),
-    (50, (50, 50, 50)),
-    (100, (50, 50, 50)),
-    (100, (100, 100, 100)),
-]
-
 DEFAULT_RANKS = (2, 3, 4)
 
 

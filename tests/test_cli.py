@@ -74,20 +74,14 @@ class TestRank:
         # mode's raw spectrum (the fixture's has rounding-level negatives)
         # from the fits' own centred pass
         series = read_tensor_series(noiseless_file)
-        if method == "itipup":
-            ranks = estimate_ranks_tipup(series, center=True)
-            moments = series_moments(series, (1,), center=True)
-            covs = [baseline._lag_sum(series, d + 1, 1, series[0].size,
-                                      [moments.grams[1][d]]) for d in range(3)]
-        else:
-            ranks = estimate_ranks(series, center=True)
-            systems = series_moments(series, (0,), center=True).eigensystems
+        lags, select = (((1,), estimate_ranks_tipup) if method == "itipup"
+                        else ((0,), estimate_ranks))
+        ranks = select(series, center=True)
+        systems = series_moments(series, lags, center=True).eigensystems(lags)
         lines = [",".join(map(str, ranks))]
         for d in range(3):
-            values = (top_k_eigensystem(covs[d], 10) if method == "itipup"
-                      else systems[d]).values
             lines.append(f"mode {d + 1} eigenvalues: "
-                         + " ".join(f"{v:.6g}" for v in values))
+                         + " ".join(f"{v:.6g}" for v in systems[d].values))
         passes, grams, read = [], [], []
 
         def counting(calls, original):
@@ -405,7 +399,44 @@ class TestBenchUnknownMethod:
 
 
 class TestTypedErrorExitCodes:
-    """Each input the fits reject by name exits with the numeric-error code."""
+    """Each input the fits reject by name exits with the numeric-error code;
+    an option value that cannot be parsed or fails validation, from a flag
+    or from the config file, exits with the usage code and names its source."""
+
+    BENCH = ("[experiment]\nmethods = mopca, itipup\nout = {out}\n[simulation]\n"
+             "T = 10\n{dims}\nranks = 2, 2, 2\n[estimator]\n{estimator}\n"
+             "[estimator.itipup]\n{itipup}\n")
+
+    @pytest.mark.parametrize("section, line", [
+        ("estimator", "kmax = abc"), ("estimator", "tol = -1"),
+        ("estimator", "center = maybe"), ("estimator", "ranks = 2,x,2"),
+        ("simulation", "dims = 6,x,4"), ("simulation", "dims = 6,1,4"),
+        ("estimator.itipup", "lags = 0"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, section, line):
+        out = tmp_path / "results"
+        fields = {"estimator": "", "itipup": "", "dims": "dims = 6, 6, 6"}
+        fields[{"simulation": "dims", "estimator.itipup": "itipup"}.get(
+            section, section)] = line
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(self.BENCH.format(out=out, **fields))
+        assert main(["bench", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err and "numeric error" not in err
+        if section != "simulation" or "x" in line:  # a parse error names its key
+            assert f"[{section}] {line.split()[0]}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "data.tnsf", "--out", "x", "--ranks", "2,x"], "--ranks"),
+        (["estimate", "data.tnsf", "--out", "x", "--kmax", "abc"], "--kmax"),
+        (["bench", "bench.cfg", "--ranks", "auto,2"], "--ranks"),
+        (["rank", "data.tnsf", "--kmax", "1.5"], "--kmax"),
+        (["simulate", "--out", "x", "--dims", "6,x,4"], "--dims"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, argv, flag, capsys):
+        assert main(argv) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def _estimate(self, tmp_path, capsys, series, *flags):
         path = tmp_path / "data.tnsf"

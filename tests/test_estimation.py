@@ -319,11 +319,6 @@ class TestIpmopca:
         assert fit.iterations == 3
         assert len(fit.per_sweep_distance) == 3
 
-    def test_frobenius_stop_norm(self, rng):
-        x = rng.standard_normal((8, 5, 6))
-        fit = ipmopca_fit(x, (2, 2), stop_norm="fro", center=False)
-        assert fit.per_sweep_distance[-1] >= 0
-
     def test_within_sweep_uses_fresh_lower_modes(self, rng):
         # Gauss-Seidel and Jacobi style sweeps must genuinely differ on
         # noisy data after one sweep
@@ -347,8 +342,13 @@ class TestInitFixesRanks:
         assert fit_fn(series, (2, 3, 4), init=init).ranks == (2, 3, 4)
 
 
+def ranks_of_loadings(x, init):
+    return estimate_ranks(x, loadings=init)
+
+
 class TestInitChecked:
-    """A bad ``init`` fails by mode before any pass over the series."""
+    """A bad ``init``, or ``loadings`` of ``estimate_ranks``, fails by mode
+    before any pass over the series."""
 
     DIMS = (6, 5, 4)
 
@@ -356,7 +356,7 @@ class TestInitChecked:
         return [np.linalg.qr(np.random.default_rng(p).standard_normal((p, 2)))[0]
                 for p in self.DIMS]
 
-    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
+    @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit, ranks_of_loadings])
     @pytest.mark.parametrize("mode, bad, message", [
         (1, np.ones((5, 2)), "mode 1 is not finite and of full column rank"),
         (2, np.zeros((4, 1)), "mode 2 is not finite and of full column rank"),
@@ -368,8 +368,9 @@ class TestInitChecked:
     def test_bad_matrix_names_its_mode(self, monkeypatch, rng, fit_fn, mode, bad,
                                        message):
         passes = []
-        monkeypatch.setattr(estimation, "series_moments",
-                            lambda *args, **kwargs: passes.append(args))
+        for name in ("series_moments", "_project"):
+            monkeypatch.setattr(estimation, name,
+                                lambda *args, **kwargs: passes.append(args))
         init = self.good_init()
         init[mode] = bad
         with pytest.raises(ValueError, match=message):
@@ -537,6 +538,14 @@ class TestVarimax:
             varimax(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+# every fit with a fixed sweep count, so that rounding cannot move its stop
+FIXED_SWEEP_FITS = [mopca_fit, pmopca_fit,
+                    lambda x: ipmopca_fit(x, tol=1e-300, max_iter=2),
+                    lambda x: itipup_fit(x, tol=1e-300, max_iter=2)]
+_INVARIANCE_SERIES, _ = simulate_dataset(scenario_config("II", 30, (8, 7, 6), (2, 3, 2),
+                                                         seed=4))
+
+
 class TestEstimatorInvariants:
     @pytest.mark.parametrize("fit_fn", [mopca_fit, pmopca_fit, ipmopca_fit])
     def test_scaled_orthonormal_loadings(self, rng, fit_fn):
@@ -553,14 +562,34 @@ class TestEstimatorInvariants:
         signals_rot = reconstruct_signals(extract_factors(x, rotated), rotated)
         assert np.allclose(signals_rot, fit.signals, atol=1e-10)
 
-    def test_data_scale_equivariance(self, rng):
-        x = rng.standard_normal((8, 5, 6))
-        base = mopca_fit(x, (2, 2), center=False)
-        scaled = mopca_fit(3.5 * x, (2, 2), center=False)
+    @pytest.mark.parametrize("fit_fn", FIXED_SWEEP_FITS)
+    def test_data_scale_equivariance(self, fit_fn):
+        base = fit_fn(_INVARIANCE_SERIES)
+        scaled = fit_fn(3.5 * _INVARIANCE_SERIES)
+        assert scaled.ranks == base.ranks == (2, 3, 2)
+        assert scaled.iterations == base.iterations
         assert np.allclose(scaled.factors, 3.5 * base.factors, atol=1e-8)
         assert np.allclose(scaled.signals, 3.5 * base.signals, atol=1e-8)
         for a, b in zip(base.loadings, scaled.loadings):
             assert subspace_distance(a, b) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           fit=st.sampled_from(range(len(FIXED_SWEEP_FITS))))
+    def test_orthogonal_mode_equivariance(self, mode, seed, fit):
+        # X x_d Q has loadings Q A_d on mode d and the others' elsewhere;
+        # every mode matrix is M or Q M Q', so the spectra are those of X
+        fit_fn = FIXED_SWEEP_FITS[fit]
+        p_d = _INVARIANCE_SERIES.shape[mode + 1]
+        q = random_orthogonal(np.random.default_rng(seed), p_d)
+        base = fit_fn(_INVARIANCE_SERIES)
+        rotated = fit_fn(tensor.mode_product(_INVARIANCE_SERIES, q, mode + 1))
+        assert rotated.ranks == base.ranks
+        assert rotated.iterations == base.iterations
+        for d, (a, b) in enumerate(zip(rotated.loadings, base.loadings)):
+            assert column_space_distance(a, q @ b if d == mode else b) <= 1e-8
+        for u, v in zip(rotated.eigvals, base.eigvals):
+            assert np.allclose(u, v, rtol=0, atol=1e-10 * v[0])
 
     def test_two_way_reduces_to_matrix_factor_pca(self, rng):
         # matrix observations: per-mode PCA on row / column covariances
@@ -694,6 +723,13 @@ class TestEstimatorConfig:
             EstimatorConfig(tol=0.0)
         with pytest.raises(ValueError):
             EstimatorConfig(max_iter=0)
+        # a NaN tolerance would never stop the sweeps
+        x = np.random.default_rng(0).standard_normal((6, 4, 3))
+        for check in (lambda: EstimatorConfig(tol=np.nan),
+                      lambda: ipmopca_fit(x, (1, 1), tol=np.nan),
+                      lambda: itipup_fit(x, (1, 1), tol=np.nan)):
+            with pytest.raises(ValueError, match="tol must be positive, got nan"):
+                check()
 
     @pytest.mark.parametrize("lags", [0, -1])
     def test_lags_below_one_rejected(self, lags):

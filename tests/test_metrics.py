@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_orthogonal
 from tuckerfactor import (
@@ -24,10 +26,17 @@ class TestColumnSpaceDistance:
         e2 = np.array([[0.0], [1.0]])
         assert column_space_distance(e1, e2) == pytest.approx(1.0)
 
-    def test_invariant_to_invertible_right_factor(self, rng):
-        a = rng.standard_normal((8, 3))
-        q = random_orthogonal(rng, 3)
-        m = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9), data=st.data())
+    def test_invariant_to_invertible_right_factor(self, seed, p, data):
+        # a of condition number at most 100, m at most 10
+        k = data.draw(st.integers(1, p))
+        sa = data.draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+        sm = data.draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k))
+        rng = np.random.default_rng(seed)
+        a = random_orthogonal(rng, p)[:, :k] * sa @ random_orthogonal(rng, k)
+        q = random_orthogonal(rng, k)
+        m = random_orthogonal(rng, k) * sm @ random_orthogonal(rng, k)
         assert column_space_distance(a @ q, a) <= 1e-10
         assert column_space_distance(a @ m, a) <= 1e-8
 

@@ -21,6 +21,7 @@ from tuckerfactor import (
     series_moments,
     simulate_dataset,
     tensor,
+    tipup_mode_matrix,
 )
 from tuckerfactor.experiment import _evaluate
 
@@ -132,13 +133,13 @@ def test_one_moment_pass_per_replication(tmp_path, monkeypatch, ranks):
     assert all(r.error is None for r in reports)
     assert counts[0] == 1
     assert passes[0][2] == (0, 1, 2)  # the lags of every method at once
-    # the three PCA fits (and their explicit-rank selection) share one
-    # eigensystem per mode; every other eigh is a projected or lagged one
+    # the three PCA fits share one eigensystem per mode, iTIPUP's start one
+    # lagged one, and the explicit-rank selections read those; every other
+    # eigh is a sweep's
     series, _ = simulate_dataset(config.sim, 0)
     sweeps = (ipmopca_fit(series, ranks).iterations
               + itipup_fit(series, ranks, h0=2).iterations)
-    itipup_selection = 0 if ranks == "auto" else 1
-    assert counts[1] == 3 * (1 + 1 + 1 + sweeps + itipup_selection)
+    assert counts[1] == 3 * (3 + sweeps)
 
 
 def test_projected_starts_reuse_the_mode_wise_eigensystems(monkeypatch):
@@ -196,18 +197,27 @@ class TestSeriesMoments:
         assert series_moments(x, (), center=False).grams == {}
 
     def test_eigensystems_built_once(self, rng, monkeypatch):
-        moments = series_moments(rng.standard_normal((6, 4, 3)))
+        # kept per lag set: lag 0 for the PCA fits, 1..h0 for iTIPUP
+        x = rng.standard_normal((6, 4, 3))
+        moments = series_moments(x, (0, 1, 2))
         eighs = []
         monkeypatch.setattr(estimation, "top_k_eigensystem",
                             counting(eighs, estimation.top_k_eigensystem))
-        assert moments.eigensystems is moments.eigensystems
+        assert moments.eigensystems() is moments.eigensystems((0,))
         assert len(eighs) == 2
-        assert [es.values.size for es in moments.eigensystems] == [4, 3]
+        assert [es.values.size for es in moments.eigensystems()] == [4, 3]
+        lagged = moments.eigensystems(range(1, 3))
+        assert lagged is moments.eigensystems((1, 2))
+        assert len(eighs) == 4
+        for d, es in enumerate(lagged):
+            want = np.linalg.eigvalsh(tipup_mode_matrix(x - x.mean(axis=0), d, 2))
+            assert np.allclose(es.values, want[::-1], rtol=1e-12, atol=1e-15)
 
     def test_read_only(self, rng):
         moments = series_moments(rng.standard_normal((6, 4, 3)), (0, 1))
         arrays = [moments.mean, *moments.grams[0], *moments.grams[1]]
-        arrays += [a for es in moments.eigensystems for a in (es.values, es.vectors)]
+        arrays += [a for lags in ((0,), (1,)) for es in moments.eigensystems(lags)
+                   for a in (es.values, es.vectors)]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0

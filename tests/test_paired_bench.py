@@ -101,3 +101,42 @@ def test_held_out_runs_follow_the_pairs_and_are_saved(monkeypatch):
                                   lambda: saved.append(len(report["held_out"])))
     assert saved == [0, 0, 1]
     assert report["held_out"][0]["order"] == ["parent", "change"]
+
+
+BOUNDED = [{"name": "fit_s", "better": "lower", "bound": 0.1}]
+
+
+@pytest.mark.parametrize("change, verdict, worse", [
+    ([10.5] * 5, "ok", 0.05),          # worse, within the bound
+    ([11.5] * 5, "regressed", 0.15),   # worse by more than the bound
+    ([9.0] * 5, "ok", -0.1),           # better
+])
+def test_regression_verdict_against_the_bound(change, verdict, worse):
+    parent = [9.9, 10.0, 10.0, 10.0, 10.1]  # IQR/median 0: a tight parent
+    s = paired_bench.summarize(pairs_of(parent, change), BOUNDED)["fit_s"]
+    assert s["worse_rel"] == pytest.approx(worse)
+    assert s["bound"] == 0.1 and s["parent_iqr_rel"] == pytest.approx(0.0)
+    assert s["verdict"] == verdict
+
+
+def test_a_wide_parent_is_unresolved_unless_the_change_dominates():
+    parent = [8.0, 9.0, 10.0, 11.0, 12.0]  # IQR/median 0.2 > bound 0.1
+    s = paired_bench.summarize(pairs_of(parent, [10.0] * 5), BOUNDED)["fit_s"]
+    assert s["parent_iqr_rel"] == pytest.approx(0.2)
+    assert s["verdict"] == "unresolved"
+    s = paired_bench.summarize(pairs_of(parent, [14.0] * 5), BOUNDED)["fit_s"]
+    assert s["verdict"] == "unresolved"  # worse, but the spread hides how much
+    s = paired_bench.summarize(pairs_of(parent, [7.5] * 5), BOUNDED)["fit_s"]
+    assert s["verdict"] == "ok"  # every change run beats every parent run
+
+
+def test_higher_is_better_verdict():
+    metrics = [{"name": "reps_per_s", "better": "higher", "bound": 0.1}]
+    pairs = pairs_of([5.0] * 5, [4.0] * 5, name="reps_per_s")
+    s = paired_bench.summarize(pairs, metrics)["reps_per_s"]
+    assert s["worse_rel"] == pytest.approx(0.2) and s["verdict"] == "regressed"
+
+
+def test_no_bound_gives_no_regression():
+    s = paired_bench.summarize(pairs_of([10.0] * 5, [20.0] * 5), LOWER)["fit_s"]
+    assert s["bound"] is None and s["verdict"] == "ok"

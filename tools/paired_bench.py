@@ -17,7 +17,12 @@ run's metrics, correctness and detail line; for each end-to-end metric
 of ``BENCHMARK.json``, each side's median and quartiles, the pairs the
 working tree won, lost and tied, and whether the gain rule holds (wins
 in at least nine tenths of the pairs, and medians apart by more than the
-parent's interquartile range, in the metric's better direction).  The
+parent's interquartile range, in the metric's better direction).  It
+also gives the no-regression verdict against the metric's bound: how
+much worse the change's median is than the parent's, relative to the
+parent's, and ``ok``, ``regressed`` (worse by more than the bound) or
+``unresolved`` (the parent's IQR/median is wider than the bound, and not
+every change run beats every parent run).  The
 file is written again after every pair, so an interrupted script keeps
 its finished pairs.  A failed run stops the script with exit status 1;
 its error, with the run's stderr, is kept under ``failed``.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -49,9 +55,10 @@ def summarize(pairs, metrics):
     """Per-metric comparison of ``pairs`` of ``{"parent": {name: value},
     "change": {name: value}}``.
 
-    ``metrics`` lists ``{"name", "better"}`` entries, ``better`` being
-    ``"lower"`` or ``"higher"``.  A pair missing the metric on either side
-    is left out of that metric's counts.
+    ``metrics`` lists ``{"name", "better", "bound"}`` entries, ``better``
+    being ``"lower"`` or ``"higher"`` and ``bound`` the largest relative
+    worsening allowed (none when absent).  A pair missing the metric on
+    either side is left out of that metric's counts.
     """
     out = {}
     for metric in metrics:
@@ -66,6 +73,14 @@ def summarize(pairs, metrics):
         q = {"parent": quartiles(parent), "change": quartiles(change)}
         gain = sign * (q["parent"][1] - q["change"][1])
         parent_iqr = q["parent"][2] - q["parent"][0]
+        scale = abs(q["parent"][1]) or 1.0
+        worse, bound = -gain / scale, metric.get("bound", math.inf)
+        # every change run better than every parent run
+        dominates = max(sign * c for c in change) < min(sign * p for p in parent)
+        if parent_iqr / scale > bound and not dominates:
+            verdict = "unresolved"
+        else:
+            verdict = "regressed" if worse > bound else "ok"
         out[name] = {
             "better": metric["better"],
             "pairs": len(both),
@@ -76,6 +91,10 @@ def summarize(pairs, metrics):
             "median_gain": gain,
             "parent_iqr": parent_iqr,
             "gain_shown": wins >= 0.9 * len(both) and gain > parent_iqr,
+            "worse_rel": worse,
+            "parent_iqr_rel": parent_iqr / scale,
+            "bound": metric.get("bound"),
+            "verdict": verdict,
         }
     return out
 
@@ -173,7 +192,8 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
               f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, "
               f"{s['change']['q3']:.6g}]; wins {s['wins']}/{s['pairs']}, "
-              f"gain shown: {s['gain_shown']}")
+              f"gain shown: {s['gain_shown']}; worse by {s['worse_rel']:+.1%} "
+              f"(bound {s['bound']}): {s['verdict']}")
     return 0
 
 

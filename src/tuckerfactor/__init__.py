@@ -61,7 +61,6 @@ from .simulation import (
     simulate_noise_path,
 )
 from .spectral import (
-    projection_matrix,
     subspace_distance,
     thin_left_singular,
     top_k_eigensystem,
@@ -110,7 +109,6 @@ __all__ = [
     "pmopca_fit",
     "projected_mode_covariance",
     "projected_series",
-    "projection_matrix",
     "rank_accuracy",
     "read_loadings",
     "read_tensor_series",

@@ -26,8 +26,9 @@ start spectra; a varimax rotation rounds out the module.
 
 Centring holds the series once: no estimator builds ``X_t - mean``.
 The mean and the mode covariances come from :func:`series_moments`, one
-pass (``tensor._mode_grams``) that centres the series piece by piece
-into reused buffers and accumulates every mode's Gram matrix from them.
+pass (``tensor._mode_grams``) that centres each tensor, window by window,
+into a ring of reused buffers and accumulates every mode's Gram matrix
+from them.
 Its :class:`SeriesMoments` can be passed to several fits of one series
 as ``moments=``, so they share that pass and the start spectra, which
 it keeps per lag set.
@@ -38,9 +39,10 @@ subtracted.  A sweep of :func:`iterate_projected_fit` shares its mode
 products through a dimension tree (Kaya & Ucar, ICPP 2016): it reads the
 whole series twice, for mode 1's stack and for the prefix ``X x_1 A_1'``
 that serves the later modes, and its last prefix is the factor tensor.
-A piece holds at most ``tensor._CHUNK_ELEMS`` elements (one tensor when
-a tensor is larger), so a fit's temporaries are a few pieces plus one
-tensor, the mean, at any tensor size.
+A run holds at most ``tensor._CHUNK_ELEMS`` elements (one tensor when a
+tensor is larger), and a window at most that (the whole tensor when it
+fits), so a fit's temporaries are a few pieces plus one tensor, the
+mean, at any tensor size.
 """
 
 from __future__ import annotations

@@ -109,6 +109,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.k_max is not None and self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -420,6 +422,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
             if name not in SCENARIOS:
                 raise ValueError(f"[simulation] scenario: unknown scenario {name!r}")
             phi, psi = SCENARIOS[name]
+        for key in ("T", "dims"):
+            if key not in parser["simulation"]:
+                raise ValueError(f"[simulation] {key}: missing (it has no default)")
         try:
             sim = SimConfig(
                 T=_read(parser, "simulation", "T", int),

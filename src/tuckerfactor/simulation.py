@@ -14,9 +14,10 @@ mode by mode, then the core path, then the noise path.
 
 Memory: the noise path is drawn in one call and becomes the series.  It
 is coloured, run through the AR(1) recursion and given its signals in
-place, piece by piece (``tensor._pieces``), so a dataset holds its series
-once plus the pre-sample state tensor and a few temporaries of at most
-``tensor._CHUNK_ELEMS`` elements each, at any tensor size.
+place, one tensor window at a time (``tensor._pieces``), so a dataset
+holds its series once plus the pre-sample state tensor and a few
+temporaries, each a window of one tensor (of at most
+``tensor._CHUNK_ELEMS`` elements for a larger tensor).
 ``SimTruth.signals`` is built on first access.
 """
 

@@ -74,52 +74,23 @@ def thin_left_singular(m: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(_fix_signs(u[:, :k]))
 
 
-def projection_matrix(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``a``.
-
-    For matrices whose Gram matrix is already a multiple of the identity
-    (the scaled-orthonormal loading convention) the closed form
-    ``a @ a.T / c`` is used; otherwise the projector comes from a reduced
-    QR factorization.  Raises on rank-deficient input.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("projection_matrix expects a matrix")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError("projection_matrix: input is rank deficient")
-    gram = a.T @ a
-    k = a.shape[1]
-    c = np.trace(gram) / k
-    if np.linalg.norm(gram - c * np.eye(k)) <= 1e-12 * c * k:
-        return (a @ a.T) / c
-    q, _ = np.linalg.qr(a)
-    return q @ q.T
-
-
-def subspace_distance(a: np.ndarray, b: np.ndarray, norm: str = "spectral") -> float:
+def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance between the column spaces of ``a`` and ``b``.
 
-    Equals the chosen norm of the difference of the two orthogonal
-    projectors.  For the spectral norm the value lies in ``[0, 1]``: 0 for
-    identical spaces, 1 when the spaces have different dimensions or
-    contain orthogonal directions.  Computed from the residuals
-    ``(I - P_a) Q_b`` so that tiny angles keep full precision.
+    Equals the spectral norm of the difference of the two orthogonal
+    projectors, in ``[0, 1]``: 0 for identical spaces, 1 when the spaces
+    have different dimensions or contain orthogonal directions.  Computed
+    from the residual ``(I - P_a) Q_b`` so that tiny angles keep full
+    precision.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspace_distance: row counts differ")
+    if a.shape[1] != b.shape[1]:
+        return 1.0
     qa, _ = np.linalg.qr(a)
     qb, _ = np.linalg.qr(b)
     res_b = qb - qa @ (qa.T @ qb)  # singular values are the angle sines
-    if norm == "spectral":
-        if a.shape[1] != b.shape[1]:
-            return 1.0
-        sines = np.linalg.svd(res_b, compute_uv=False)
-        return float(min(1.0, sines[0])) if sines.size else 0.0
-    if norm == "fro":
-        res_a = qa - qb @ (qb.T @ qa)
-        total = np.sum(res_a**2) + np.sum(res_b**2)
-        return float(np.sqrt(total))
-    raise ValueError(f"unknown norm {norm!r}")
+    sines = np.linalg.svd(res_b, compute_uv=False)
+    return float(min(1.0, sines[0])) if sines.size else 0.0

@@ -18,11 +18,11 @@ copied, once, by that reshape; results are C-contiguous.
 
 Memory budget: every full-series pass from the simulator through the
 fits (noise colouring and assembly, the moment pass, the projections)
-walks the series in the pieces of :func:`_pieces`, each of at most
-``_CHUNK_ELEMS`` elements at any tensor size: runs of whole tensors, or
-windows of one tensor that is larger than the budget.  Their temporaries
-are a few pieces, plus one tensor: a fit's mean, or the simulator's
-pre-sample noise state.
+walks the series in the pieces of :func:`_pieces`, by one rule per axis:
+runs of whole tensors of at most ``_CHUNK_ELEMS`` elements along the
+first axis, or windows of one tensor, at any tensor size, along a later
+one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
+or the simulator's pre-sample noise state.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ _BATCH_ELEMS = 1 << 16
 
 # elements in one piece of a series (see _pieces), the one memory budget:
 # the simulator and the fits hold a few pieces besides the series, plus
-# one tensor (the mean or the pre-sample state), at any tensor size, and a
-# small series stays one piece with no per-tensor loop; evaluation and CLI
-# reconstruction take runs of whole tensors, so there a piece is at least
-# one tensor
+# one tensor (the mean or the pre-sample state), at any tensor size; runs
+# of whole tensors (projections, evaluation, CLI reconstruction) hold at
+# least one tensor, and windows of a tensor within it are the whole tensor
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -118,17 +117,18 @@ def _pieces(shape, axis=0) -> list[tuple[slice, ...]]:
     """Index tuples that cover a series of ``shape`` piece by piece.
 
     A piece keeps every axis of the series, so it is indexed like the
-    series.  With ``axis`` 0, or while one tensor fits ``_CHUNK_ELEMS``,
-    the pieces are runs of whole tensors of at most that many elements
-    (one tensor when a tensor is larger).  Otherwise a tensor is cut into
-    windows along series axis ``axis``, of whole slabs across it: windows
-    along axis 1 hold whole fibres of modes 2..D, windows along axis 2
-    whole mode-1 fibres.  A window has at least two slabs (where the axis
-    has two) and at most the budget, or three slabs when fewer fill it.
-    Windows come window by window, each for ``t = 0..T-1`` in turn, so a
-    window's lag partners are its neighbours.  A 1-way series is cut into
-    runs alone, by the window rule with tensors for slabs: at least two
-    tensors a run (where T has two), at most the budget or three tensors.
+    series.  With ``axis`` 0 the pieces are runs of whole tensors of at
+    most ``_CHUNK_ELEMS`` elements (one tensor when a tensor is larger).
+    With ``axis`` >= 1 each tensor, at any size, is cut into windows along
+    series axis ``axis``, of whole slabs across it: windows along axis 1
+    hold whole fibres of modes 2..D, windows along axis 2 whole mode-1
+    fibres.  A window has at least two slabs (where the axis has two) and
+    at most the budget, or three slabs when fewer fill it, so a tensor
+    within the budget is one window.  Windows come window by window, each
+    for ``t = 0..T-1`` in turn, so a window's lag partners are its
+    neighbours.  A 1-way series is cut into runs alone, by the window rule
+    with tensors for slabs: at least two tensors a run (where T has two),
+    at most the budget or three tensors.
 
     A mode product of a piece along a mode that it holds whole gives the
     bits of the same entries of the whole array's mode product, so a
@@ -137,7 +137,7 @@ def _pieces(shape, axis=0) -> list[tuple[slice, ...]]:
     size = math.prod(shape[1:])
     if len(shape) == 2:
         axis = 0
-    elif axis == 0 or size <= _CHUNK_ELEMS or axis >= len(shape):
+    elif axis == 0:
         step = max(1, _CHUNK_ELEMS // size)
         return [(slice(i, i + step),) for i in range(0, shape[0], step)]
     # at least two slabs a piece: BLAS takes a product with one row or
@@ -159,13 +159,15 @@ def _mode_gram(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """``unfold(x, axis) @ unfold(y, axis).T`` for arrays of one shape.
 
     Sums ``x_i @ y_i.T`` over the ``(A, p_d, B)`` slices without forming
-    either unfolding, one batched matmul per chunk of slices; when ``y`` is
-    ``x`` every product is ``z @ z.T`` on one buffer, which numpy evaluates
-    with ``syrk``.
+    either unfolding: one product when ``A`` or ``B`` is 1, else one
+    batched matmul per chunk of slices.  When ``y`` is ``x`` every product
+    is ``z @ z.T`` on one buffer, which numpy evaluates with ``syrk``.
     """
     a, p, b = _split(x.shape, axis)
     if b == 1:
         return x.reshape(a, p).T @ y.reshape(a, p)
+    if a == 1:
+        return x.reshape(p, b) @ y.reshape(p, b).T
     x, y = x.reshape(a, p, b), y.reshape(a, p, b)
     step = max(1, _BATCH_ELEMS // (p * p))
     out = np.zeros((p, p))
@@ -181,72 +183,45 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     Returns ``grams[i][d] = _mode_gram(z[:T - h], z[h:], d + 1)`` for
     ``h = lags[i]`` and ``z = x - mean`` (``x`` itself when ``mean`` is
     None), for a C-contiguous series ``x`` of shape ``(T, p_1, ..., p_D)``.
-    The centred series is never held whole.  While a tensor fits
-    ``_CHUNK_ELEMS``, or the series is 1-way, each run of whole tensors,
-    plus the ``max(lags)`` tensors after it, is centred once into one
-    reused buffer, and all modes' products are taken from there.  A larger
-    tensor is read twice, in windows (:func:`_pieces`): mode 1 from windows
-    along its second axis, the other modes from windows along its first,
-    centred with mode 2 moved in front, so that modes 1, 2 and D each take
-    one BLAS call per window.  Each window is centred once into a ring of
-    ``max(lags) + 1`` window buffers, which holds its lag partners.
+    The centred series is never held whole.  Each tensor is read twice, in
+    one-tensor windows (:func:`_pieces`): mode 1 from windows along its
+    second axis in the series' own layout, the other modes from windows
+    along its first, centred with mode 2 moved in front, so that modes 1,
+    2 and D each take one BLAS call per window.  Each window is centred
+    once into a ring of ``max(lags) + 1`` window buffers, which holds its
+    lag partners.  A 1-way series, which :func:`_pieces` cuts into runs,
+    goes through the same loop a tensor at a time.
     """
-    t_len, reach = x.shape[0], max(lags)
+    t_len, slots = x.shape[0], max(lags) + 1
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
-    if math.prod(x.shape[1:]) > _CHUNK_ELEMS and x.ndim > 2:
-        _windowed_grams(x, mean, lags, out)
-        return out
-    chunks = _pieces(x.shape)
-    if mean is not None:
-        longest = max(min(s.stop + reach, t_len) - s.start for (s,) in chunks)
-        buf = np.empty((longest,) + x.shape[1:])
-    for (s,) in chunks:
-        start, stop = s.start, min(s.stop + reach, t_len)
-        z = x[start:stop]
-        if mean is not None:
-            z = np.subtract(z, mean, out=buf[:stop - start])
-        for h, grams in zip(lags, out):
-            # pairs (t, t + h) with t in this chunk and t + h < T
-            n = min(s.stop, t_len - h) - start
-            if n <= 0:
-                continue
-            lead = z[:n]
-            lagged = z[h:h + n] if h else lead
-            for axis, g in enumerate(grams, 1):
-                g += _mode_gram(lead, lagged, axis)
-    return out
-
-
-def _windowed_grams(x, mean, lags, out):
-    """:func:`_mode_grams` of a series whose tensors exceed the budget,
-    accumulated into ``out``."""
-    slots = max(lags) + 1
     natural = list(range(x.ndim))
     swapped = natural[:1] + natural[2:3] + natural[1:2] + natural[3:]  # mode 2 first
     passes = [(_pieces(x.shape, 2), [1], natural),
               (_pieces(x.shape, 1), range(2, x.ndim), swapped)]
     # one ring for both passes, as wide as the widest (a first or last) window
-    ring = np.empty((slots, max(x[s].size for pieces, _, _ in passes
+    ring = np.empty((slots, max(x[s[0].start][s[1:]].size for pieces, _, _ in passes
                                 for s in (pieces[0], pieces[-1]))))
     for pieces, modes, order in passes:
-        if not modes:
-            continue
-        for s in pieces:
-            t, window = s[0].start, s[1:]
-            z = x[s]
-            shape = [z.shape[i] for i in order]
-            held = [ring[i, :z.size].reshape(shape) for i in range(slots)]
-            m = 0.0 if mean is None else mean[np.newaxis][(slice(None),) + window]
-            # x - 0.0 is a copy with the bits of x; reading the series in its
-            # own order is the faster side to transpose (order is an involution)
-            np.subtract(z, m, out=held[t % slots].transpose(order))
-            for h, grams in zip(lags, out):
-                if t < h:
-                    continue
-                # the pair (t - h, t) of this window
-                lead, lagged = held[(t - h) % slots], held[t % slots]
-                for mode in modes:
-                    grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
+        for s in pieces if modes else ():
+            window = s[1:]
+            m = 0.0 if mean is None else mean[(np.newaxis,) + window]
+            one = (1,) + x[s[0].start][window].shape  # one tensor's window
+            held = [ring[i, :math.prod(one)].reshape([one[a] for a in order])
+                    for i in range(slots)]
+            for t in range(s[0].start, min(s[0].stop, t_len)):
+                # x - 0.0 is a copy with the bits of x; reading the series in
+                # its own order is the faster side to transpose (order is an
+                # involution)
+                np.subtract(x[(slice(t, t + 1),) + window], m,
+                            out=held[t % slots].transpose(order))
+                for h, grams in zip(lags, out):
+                    if t < h:
+                        continue
+                    # the pair (t - h, t) of this window
+                    lead, lagged = held[(t - h) % slots], held[t % slots]
+                    for mode in modes:
+                        grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
+    return out
 
 
 def multi_mode_product(
@@ -254,7 +229,6 @@ def multi_mode_product(
     mats,
     modes=None,
     transpose: bool | list[bool] = False,
-    skip: int | None = None,
 ) -> np.ndarray:
     """Apply a mode product for several modes in one call.
 
@@ -270,9 +244,6 @@ def multi_mode_product(
     transpose : bool or sequence of bool
         Apply the transpose of the corresponding matrix.  A single flag
         applies to every entry.
-    skip : int, optional
-        Position in ``mats`` to leave out (convenient for leave-one-mode-out
-        projections).
 
     Returns
     -------
@@ -292,19 +263,12 @@ def multi_mode_product(
         transpose = [bool(transpose)] * len(mats)
     if len(transpose) != len(mats):
         raise ValueError("transpose flags must match mats")
-    seen = set()
-    for i, mode in enumerate(modes):
-        if i == skip:
-            continue
-        if mode in seen:
-            raise ValueError(f"duplicate mode {mode} in multi_mode_product")
-        seen.add(mode)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate mode in multi_mode_product: {modes}")
     out = x
-    for i, (mat, mode) in enumerate(zip(mats, modes)):
-        if i == skip:
-            continue
+    for mat, mode, flip in zip(mats, modes, transpose):
         mat = np.asarray(mat)
-        out = mode_product(out, mat.T if transpose[i] else mat, mode)
+        out = mode_product(out, mat.T if flip else mat, mode)
     return out
 
 

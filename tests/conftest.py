@@ -33,6 +33,12 @@ def fortran_payload(arr):
                     for t in range(arr.shape[0]))
 
 
+def qr_projector(a):
+    """Orthogonal projector onto the column space of ``a``."""
+    q, _ = np.linalg.qr(a)
+    return q @ q.T
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

@@ -99,9 +99,10 @@ class TestRank:
         monkeypatch.setattr(tensor, "_mode_gram", counting(grams, tensor._mode_gram))
         monkeypatch.setattr(cli, "read_tensor_series", reading)
         assert main(["rank", noiseless_file, "--method", method]) == 0
-        # one pass over the series, one Gram matrix per mode (a single chunk)
+        # one pass over the series, one Gram product per mode and pair of
+        # tensors (t - h, t): each tensor is its own window
         assert len(passes) == 1
-        assert len(grams) == 3
+        assert len(grams) == 3 * (len(series) - lags[0])
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
         assert read[0].tobytes() == series.tobytes()  # the series read is kept
 
@@ -411,7 +412,7 @@ class TestTypedErrorExitCodes:
         ("estimator", "kmax = abc"), ("estimator", "tol = -1"),
         ("estimator", "center = maybe"), ("estimator", "ranks = 2,x,2"),
         ("simulation", "dims = 6,x,4"), ("simulation", "dims = 6,1,4"),
-        ("estimator.itipup", "lags = 0"),
+        ("estimator.itipup", "lags = 0"), ("estimator", "kmax = 0"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, section, line):
         out = tmp_path / "results"
@@ -427,8 +428,21 @@ class TestTypedErrorExitCodes:
             assert f"[{section}] {line.split()[0]}:" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["T", "dims"])
+    def test_missing_simulation_key_is_usage_error(self, tmp_path, capsys, key):
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        text = self.BENCH.format(out=out, estimator="", itipup="", dims="dims = 6, 6, 6")
+        cfg.write_text(text.replace({"T": "T = 10\n", "dims": "dims = 6, 6, 6\n"}[key], ""))
+        assert main(["bench", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"[simulation] {key}: missing" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "data.tnsf", "--out", "x", "--ranks", "2,x"], "--ranks"),
+        (["rank", "data.tnsf", "--kmax", "0"], "--kmax"),
+        (["bench", "bench.cfg", "--kmax", "0"], "--kmax"),
         (["estimate", "data.tnsf", "--out", "x", "--kmax", "abc"], "--kmax"),
         (["bench", "bench.cfg", "--ranks", "auto,2"], "--ranks"),
         (["rank", "data.tnsf", "--kmax", "1.5"], "--kmax"),

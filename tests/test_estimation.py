@@ -11,6 +11,7 @@ from conftest import (
     make_noiseless_series,
     make_orthonormal_loadings,
     needs_vmhwm,
+    qr_projector,
     random_orthogonal,
     run_peak_script,
 )
@@ -25,7 +26,6 @@ from tuckerfactor import (
     pmopca_fit,
     projected_mode_covariance,
     projected_series,
-    projection_matrix,
     reconstruct_signals,
     scenario_config,
     select_rank_from_eigenvalues,
@@ -213,7 +213,7 @@ class TestFactorsAndSignals:
         direct = reconstruct_signals(fit.factors, fit.loadings)
         projected = noisy.copy()
         for d, a in enumerate(fit.loadings):
-            p = projection_matrix(a)
+            p = qr_projector(a)
             projected = np.moveaxis(
                 np.tensordot(p, projected, axes=(1, d + 1)), 0, d + 1
             )
@@ -524,7 +524,7 @@ class TestVarimax:
             a = rng.standard_normal((10, 3))
             rot, _ = varimax(a)
             assert np.allclose(
-                projection_matrix(rot), projection_matrix(a), atol=1e-10
+                qr_projector(rot), qr_projector(a), atol=1e-10
             )
 
     def test_criterion_never_decreases(self, rng):
@@ -730,6 +730,12 @@ class TestEstimatorConfig:
                       lambda: itipup_fit(x, (1, 1), tol=np.nan)):
             with pytest.raises(ValueError, match="tol must be positive, got nan"):
                 check()
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match=f"k_max must be at least 1, got {k_max}"):
+            EstimatorConfig(k_max=k_max)
+        assert EstimatorConfig(k_max=1).k_max == 1
 
     @pytest.mark.parametrize("lags", [0, -1])
     def test_lags_below_one_rejected(self, lags):

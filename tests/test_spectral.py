@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal
+from conftest import qr_projector, random_orthogonal
 from tuckerfactor import (
-    projection_matrix,
     subspace_distance,
     thin_left_singular,
     top_k_eigensystem,
@@ -85,42 +84,6 @@ class TestThinLeftSingular:
             thin_left_singular(rng.standard_normal((3, 2)), 3)
 
 
-class TestProjectionMatrix:
-    def test_orthonormal_closed_form(self, rng):
-        q = random_orthogonal(rng, 5)[:, :2]
-        assert np.allclose(projection_matrix(q), q @ q.T, atol=1e-12)
-
-    def test_basis_vector(self):
-        a = np.array([[1.0], [0.0], [0.0]])
-        assert np.allclose(projection_matrix(a), np.diag([1.0, 0.0, 0.0]))
-
-    def test_invariant_to_right_rotation(self, rng):
-        a = rng.standard_normal((7, 3))
-        q = random_orthogonal(rng, 3)
-        assert np.allclose(
-            projection_matrix(a @ q), projection_matrix(a), atol=1e-10
-        )
-
-    def test_idempotent_with_correct_trace(self, rng):
-        a = rng.standard_normal((6, 2))
-        p = projection_matrix(a)
-        assert np.allclose(p @ p, p, atol=1e-10)
-        assert np.trace(p) == pytest.approx(2.0, abs=1e-8)
-        assert np.allclose(p, p.T, atol=1e-12)
-
-    def test_scaled_orthonormal_paths_agree(self, rng):
-        # loading-style input: the closed form and the QR route must match
-        p_dim = 9
-        a = np.sqrt(p_dim) * random_orthogonal(rng, p_dim)[:, :3]
-        q, _ = np.linalg.qr(a)
-        assert np.allclose(projection_matrix(a), q @ q.T, atol=1e-10)
-
-    def test_rank_deficient_rejected(self, rng):
-        col = rng.standard_normal((5, 1))
-        with pytest.raises(ValueError):
-            projection_matrix(np.hstack([col, col]))
-
-
 class TestSubspaceDistance:
     def test_matches_projector_difference(self, rng):
         for _ in range(30):
@@ -129,12 +92,9 @@ class TestSubspaceDistance:
             k2 = int(rng.integers(1, p))
             a = rng.standard_normal((p, k1))
             b = rng.standard_normal((p, k2))
-            diff = projection_matrix(a) - projection_matrix(b)
+            diff = qr_projector(a) - qr_projector(b)
             assert subspace_distance(a, b) == pytest.approx(
                 np.linalg.norm(diff, 2), abs=1e-10
-            )
-            assert subspace_distance(a, b, norm="fro") == pytest.approx(
-                np.linalg.norm(diff, "fro"), abs=1e-9
             )
 
     def test_small_angle_precision(self, rng):
@@ -142,7 +102,3 @@ class TestSubspaceDistance:
         b = a + 1e-9 * rng.standard_normal(a.shape)
         d = subspace_distance(a, b)
         assert 0 < d < 1e-8
-
-    def test_unknown_norm(self, rng):
-        with pytest.raises(ValueError):
-            subspace_distance(np.eye(3), np.eye(3), norm="l1")

@@ -230,7 +230,7 @@ class TestFusedModeGrams:
            per_chunk=st.sampled_from([1, 3, None, 1 / 2, 1 / 3]),
            data=st.data())
     def test_matches_centred_unfold_definition(self, x, lags, center, per_chunk, data):
-        # a half or a third of a tensor takes the windowed pass
+        # a half or a third of a tensor cuts it into several windows
         mean = x.mean(axis=0) if center else None
         with pytest.MonkeyPatch.context() as mp:
             if per_chunk is not None:  # None: the default budget
@@ -259,16 +259,17 @@ class TestFusedModeGrams:
         for h, (g,) in zip(lags, out):
             assert relative_error(g, unfold_gram(xc[:t_len - h], xc[h:], 0)) <= 1e-12
 
-    def test_one_chunk_matches_whole_array_gram(self, rng):
-        # a series in one chunk gets the whole-array kernel's bits
-        x = rng.standard_normal((5, 4, 3, 6))
-        xc = x - x.mean(axis=0)
-        grams, lagged = tensor_module._mode_grams(x, x.mean(axis=0), (0, 1))
-        for axis in (1, 2, 3):
-            assert np.array_equal(grams[axis - 1],
-                                  tensor_module._mode_gram(xc, xc, axis))
-            assert np.array_equal(lagged[axis - 1],
-                                  tensor_module._mode_gram(xc[:-1], xc[1:], axis))
+    @pytest.mark.parametrize("shape", [(5, 4, 3, 6), (6, 5, 4), (7, 3)])
+    def test_same_bits_at_any_budget(self, monkeypatch, rng, shape):
+        # each tensor is one window at a budget of one tensor or more, so
+        # the budget does not change the order of any sum
+        x = rng.standard_normal(shape) + 1.0
+        want = tensor_module._mode_grams(x, x.mean(axis=0), (0, 1))
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", per_chunk * x[0].size)
+            got = tensor_module._mode_grams(x, x.mean(axis=0), (0, 1))
+            for g, w in zip(sum(got, []), sum(want, [])):
+                assert np.array_equal(g, w)
 
 
 class TestPieces:
@@ -302,7 +303,7 @@ class TestPieces:
         if windowed:  # window by window, each for t = 0..T-1
             assert [s[0].start for s in pieces] == list(range(shape[0])) * (
                 len(pieces) // shape[0])
-        assert windowed == (axis > 0 and size > budget and 2 < len(shape) > axis)
+        assert windowed == (axis > 0 and len(shape) > 2)
 
 
 class TestMultiModeProduct:
@@ -331,12 +332,13 @@ class TestMultiModeProduct:
         with pytest.raises(ValueError):
             multi_mode_product(x, [np.eye(3), np.eye(3)], modes=[0, 0])
 
-    def test_skip_and_transpose(self, rng):
+    def test_transpose(self, rng):
         x = rng.standard_normal((3, 4, 5))
         mats = [rng.standard_normal((p, 2)) for p in x.shape]
-        skipped = multi_mode_product(x, mats, transpose=True, skip=1)
-        by_hand = mode_product(mode_product(x, mats[0].T, 0), mats[2].T, 2)
-        assert np.allclose(skipped, by_hand)
+        by_hand = x
+        for d, a in enumerate(mats):
+            by_hand = mode_product(by_hand, a.T, d)
+        assert np.allclose(multi_mode_product(x, mats, transpose=True), by_hand)
 
 
 class TestVectorize:

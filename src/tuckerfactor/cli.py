@@ -253,10 +253,8 @@ def _cmd_bench(args) -> int:
                             f"(choose from {', '.join(METHODS)})")
     config.estimators = {m: dataclasses.replace(cfg, **_estimator_options(args))
                          for m, cfg in config.estimators.items()}
-    if args.varimax:
-        config.apply_varimax = True
-    if args.emit_loadings:
-        config.emit_loadings = True
+    config.apply_varimax |= args.varimax
+    config.emit_loadings |= args.emit_loadings
     reports = run_experiment(config)
     failures = sum(1 for r in reports if r.error is not None)
     print(f"wrote {config.out_dir}/results.csv "

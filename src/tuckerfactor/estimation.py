@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import EigenSystem, subspace_distance, top_k_eigensystem
+from .spectral import EigenSystem, _eigensystem, _sine
 from .tensor import _mode_gram, _mode_grams, _pieces, mode_product, multi_mode_product
 
 DEFAULT_TOL = 1e-6
@@ -313,9 +313,9 @@ class SeriesMoments:
         lags = tuple(lags)
         if lags not in self._systems:
             n, p = self.shape[0], math.prod(self.shape[1:])
-            systems = tuple(top_k_eigensystem(m, m.shape[0]) for m in (
-                _mode_matrix([self.grams[h][d] for h in lags], lags, n, p)
-                for d in range(len(self.shape) - 1)))
+            systems = tuple(_eigensystem(
+                _mode_matrix([self.grams[h][d] for h in lags], lags, n, p))
+                for d in range(len(self.shape) - 1))
             for es in systems:
                 es.values.flags.writeable = es.vectors.flags.writeable = False
             self._systems[lags] = systems
@@ -545,11 +545,13 @@ def iterate_projected_fit(
     Each sweep refreshes the modes in order.  Mode d's stack is the series
     projected through the other modes' loadings (:func:`projected_series`),
     centred with ``center``; ``stack_op`` maps that ``(T, p_d, k_-d)``
-    stack to a ``(p_d, p_d)`` matrix, whose top ``ranks[d]`` eigenvectors
+    stack to a ``(p_d, p_d)`` matrix, checked finite and exactly symmetric
+    (it ends in :func:`_mode_matrix`), whose top ``ranks[d]`` eigenvectors
     are the new loadings.  With ``update_within_sweep`` mode d's stack
     takes this sweep's new loadings of the lower modes, else the sweep's
     start loadings.  Sweeps stop once the largest per-mode projector
-    distance across a sweep is at most ``tol``, or after ``max_iter``.
+    distance across a sweep is at most ``tol``, or after ``max_iter``; it is
+    taken from the loadings' orthonormal eigenvectors, with a QR for ``init``.
 
     A sweep walks one prefix chain, ``P_0 = X`` and ``P_{d+1} = P_d x_d
     A_d'``: mode d's stack contracts the higher modes of ``P_d``, the
@@ -566,21 +568,22 @@ def iterate_projected_fit(
         raise ValueError("max_iter must be at least 1")
     dims, p = x.shape[1:], x.size // x.shape[0]
     current = [np.asarray(a, dtype=float) for a in init]
+    bases = [np.linalg.qr(a)[0] for a in current]  # init need not be orthonormal
     systems = [None] * len(dims)
     history: list[float] = []
     for sweeps in range(1, max_iter + 1):
-        start = list(current)
+        start, old_bases = list(current), list(bases)
         projector = current if update_within_sweep else start
         prefix = x
         for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
             y = _project(prefix, projector, range(d + 1, len(dims)), p // p_d, d)
             y = _centred(y, center)
-            es = systems[d] = _nondegenerate(d, top_k_eigensystem(stack_op(y), p_d))
-            current[d] = np.sqrt(p_d) * es.vectors[:, :k_d]
+            es = systems[d] = _nondegenerate(d, _eigensystem(stack_op(y)))
+            bases[d] = es.vectors[:, :k_d]
+            current[d] = np.sqrt(p_d) * bases[d]
             if d < len(dims) - 1:
                 prefix = _project(prefix, projector, [d])
-        history.append(max(subspace_distance(new, old)
-                           for new, old in zip(current, start)))
+        history.append(max(map(_sine, bases, old_bases)))
         converged = history[-1] <= tol
         if converged:
             break

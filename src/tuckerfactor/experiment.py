@@ -156,10 +156,7 @@ class ExperimentConfig:
             raise ValueError("exactly one of sim / input_path must be set")
 
     def estimator_for(self, method: str) -> EstimatorConfig:
-        cfg = self.estimators.get(method)
-        if cfg is None:
-            cfg = EstimatorConfig(method=method)
-        return cfg
+        return self.estimators.get(method) or EstimatorConfig(method=method)
 
 
 def _evaluate(method, rep, series, truth, cfg, shared=None,
@@ -212,23 +209,13 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
         )
         rmse = float(np.sqrt(rmse_num / series.size))
         acc = rank_accuracy(ranks_est, tuple(a.shape[1] for a in truth.loadings))
-    report = EvalReport(
-        method=method,
-        replication=rep,
-        seconds=seconds,
-        distances=distances,
-        rmse=rmse,
-        accuracy=acc,
-        reconstruction=re_val,
-        ranks_estimated=ranks_est,
-    )
-    return report, fit
+    return EvalReport(method=method, replication=rep, seconds=seconds,
+                      distances=distances, rmse=rmse, accuracy=acc,
+                      reconstruction=re_val, ranks_estimated=ranks_est), fit
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
@@ -320,17 +307,12 @@ def _aggregate_rows(reports, methods, d_count):
 
 
 def _sample_sd(values):
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return 0.0
-    return float(np.std(arr, ddof=1))
+    return float(np.std(np.asarray(values, float), ddof=1)) if len(values) > 1 else 0.0
 
 
 def _agg(values, fn):
     values = [v for v in values if v is not None]
-    if not values:
-        return None
-    return float(fn(values))
+    return float(fn(values)) if values else None
 
 
 def _ints(text):

@@ -8,7 +8,10 @@ runs on the same platform produce bitwise identical results:
   entry is positive (ties broken by the lowest index).
 
 Symmetric inputs are symmetrized as ``(S + S.T) / 2`` before
-decomposition to remove accumulation-order asymmetry.
+decomposition to remove accumulation-order asymmetry.  Each kernel has
+one private core without checks or copies (:func:`_eigensystem`,
+:func:`_sine`), which its public function wraps and the sweep loop calls
+on its already symmetric matrices and orthonormal bases.
 """
 
 from __future__ import annotations
@@ -56,11 +59,16 @@ def top_k_eigensystem(s: np.ndarray, k: int) -> EigenSystem:
     n = s.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for a {n}x{n} matrix")
-    w, v = np.linalg.eigh((s + s.T) / 2.0)
-    w = w[::-1]
-    v = _fix_signs(v[:, ::-1])
-    return EigenSystem(values=np.ascontiguousarray(w[:k]),
-                       vectors=np.ascontiguousarray(v[:, :k]))
+    es = _eigensystem((s + s.T) / 2.0)
+    return EigenSystem(values=np.ascontiguousarray(es.values[:k]),
+                       vectors=np.ascontiguousarray(es.vectors[:, :k]))
+
+
+def _eigensystem(s: np.ndarray) -> EigenSystem:
+    """Every eigenpair of the exactly symmetric, finite matrix ``s``, with
+    the conventions of :func:`top_k_eigensystem` and unchecked."""
+    w, v = np.linalg.eigh(s)
+    return EigenSystem(values=w[::-1], vectors=_fix_signs(v[:, ::-1]))
 
 
 def thin_left_singular(m: np.ndarray, k: int) -> np.ndarray:
@@ -89,8 +97,15 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("subspace_distance: row counts differ")
     if a.shape[1] != b.shape[1]:
         return 1.0
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    res_b = qb - qa @ (qa.T @ qb)  # singular values are the angle sines
-    sines = np.linalg.svd(res_b, compute_uv=False)
+    return _sine(np.linalg.qr(b)[0], np.linalg.qr(a)[0])
+
+
+def _sine(q: np.ndarray, q_ref: np.ndarray) -> float:
+    """Largest principal angle sine, capped at 1, between the spans of the
+    orthonormal columns ``q`` and ``q_ref``: 1.0 exactly when their column
+    counts differ."""
+    if q.shape[1] != q_ref.shape[1]:
+        return 1.0
+    res = q - q_ref @ (q_ref.T @ q)  # singular values are the angle sines
+    sines = np.linalg.svd(res, compute_uv=False)
     return float(min(1.0, sines[0])) if sines.size else 0.0

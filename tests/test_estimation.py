@@ -330,6 +330,33 @@ class TestIpmopca:
         diff = max(np.max(np.abs(u - v)) for u, v in zip(a.loadings[1:], b.loadings[1:]))
         assert diff > 0
 
+    def test_first_sweep_distance_from_a_non_orthonormal_init(self, rng):
+        # the sweeps take their stopping sine from the loadings' own bases;
+        # a caller's init is not orthonormal, so its side takes a QR
+        x, _ = simulate_dataset(scenario_config("II", 12, (7, 6, 5), (2, 3, 2)))
+        init = [a @ (np.triu(rng.standard_normal((a.shape[1],) * 2), 1)
+                     + np.diag(rng.uniform(0.5, 2.0, a.shape[1])))
+                for a in mopca_fit(x, (2, 3, 2)).loadings]
+        fit = ipmopca_fit(x, (2, 3, 2), init=init, max_iter=1)
+        want = max(map(subspace_distance, fit.loadings, init))
+        assert abs(fit.per_sweep_distance[0] - want) <= 1e-12
+
+    def test_first_sweep_of_other_ranks_than_init_is_one(self):
+        x, _ = simulate_dataset(scenario_config("II", 12, (7, 6, 5), (2, 3, 4)))
+        init = mopca_fit(x, (2, 2, 2)).loadings
+        assert ipmopca_fit(x, (2, 3, 4), init=init).per_sweep_distance[0] == 1.0
+
+    @pytest.mark.parametrize("fit_fn", [ipmopca_fit, itipup_fit])
+    def test_bitwise_repeatable(self, fit_fn):
+        # the determinism that spectral.py promises, through the sweeps
+        x, _ = simulate_dataset(scenario_config("I", 15, (8, 7, 6), (2, 3, 2)))
+        one, two = fit_fn(x, (2, 3, 2), tol=1e-12), fit_fn(x, (2, 3, 2), tol=1e-12)
+        assert one.iterations > 1
+        assert one.per_sweep_distance == two.per_sweep_distance
+        for name in ("loadings", "eigvals"):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(getattr(one, name), getattr(two, name)))
+
 
 class TestInitFixesRanks:
     @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit])
@@ -784,19 +811,19 @@ class TestDimensionTree:
         x = rng.standard_normal((t_len, *dims)) + 2.0
         init = [rng.standard_normal((p, k)) for p, k in zip(dims, ranks)]
         stacks, covs, systems = [], [], []
-        eigensystem = estimation.top_k_eigensystem
+        eigensystem = estimation._eigensystem
 
         def op(y):
             stacks.append(y.copy())
             covs.append(estimation._projected_covariance(y))
             return covs[-1]
 
-        def recorded(m, k):
-            systems.append(eigensystem(m, k))
+        def recorded(m):
+            systems.append(eigensystem(m))
             return systems[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "top_k_eigensystem", recorded)
+            mp.setattr(estimation, "_eigensystem", recorded)
             if budget is not None:
                 mp.setattr(tensor, "_CHUNK_ELEMS", max(1, int(budget * x[0].size)))
             loadings, _, sweeps, _, _, factors = estimation.iterate_projected_fit(

@@ -121,8 +121,8 @@ def test_one_moment_pass_per_replication(tmp_path, monkeypatch, ranks):
     passes, eighs = [], []
     monkeypatch.setattr(estimation, "_mode_grams",
                         counting(passes, estimation._mode_grams))
-    monkeypatch.setattr(estimation, "top_k_eigensystem",
-                        counting(eighs, estimation.top_k_eigensystem))
+    monkeypatch.setattr(estimation, "_eigensystem",
+                        counting(eighs, estimation._eigensystem))
     config = ExperimentConfig(
         methods=list(METHODS), replications=1, out_dir=str(tmp_path),
         sim=scenario_config("II", 12, (8, 7, 6), (2, 3, 4), seed=1),
@@ -147,8 +147,8 @@ def test_projected_starts_reuse_the_mode_wise_eigensystems(monkeypatch):
     moments = series_moments(x)
     mopca_fit(x, moments=moments)
     eighs = []
-    monkeypatch.setattr(estimation, "top_k_eigensystem",
-                        counting(eighs, estimation.top_k_eigensystem))
+    monkeypatch.setattr(estimation, "_eigensystem",
+                        counting(eighs, estimation._eigensystem))
     pmopca_fit(x, moments=moments)
     estimate_ranks(x, center=True, moments=moments)
     assert len(eighs) == 3  # pmopca's projected covariances only
@@ -201,8 +201,8 @@ class TestSeriesMoments:
         x = rng.standard_normal((6, 4, 3))
         moments = series_moments(x, (0, 1, 2))
         eighs = []
-        monkeypatch.setattr(estimation, "top_k_eigensystem",
-                            counting(eighs, estimation.top_k_eigensystem))
+        monkeypatch.setattr(estimation, "_eigensystem",
+                            counting(eighs, estimation._eigensystem))
         assert moments.eigensystems() is moments.eigensystems((0,))
         assert len(eighs) == 2
         assert [es.values.size for es in moments.eigensystems()] == [4, 3]

@@ -1,14 +1,23 @@
 """Tests for the deterministic eigensolver / SVD wrappers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qr_projector, random_orthogonal
 from tuckerfactor import (
+    scenario_config,
+    series_moments,
+    simulate_dataset,
     subspace_distance,
     thin_left_singular,
     top_k_eigensystem,
 )
+from tuckerfactor.estimation import _mode_matrix
+from tuckerfactor.spectral import _eigensystem, _sine
 
 
 class TestTopKEigensystem:
@@ -102,3 +111,37 @@ class TestSubspaceDistance:
         b = a + 1e-9 * rng.standard_normal(a.shape)
         d = subspace_distance(a, b)
         assert 0 < d < 1e-8
+
+
+class TestCores:
+    """The private cores that the sweep loop calls give the public
+    functions' results on the inputs the loop gives them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sine_of_scaled_orthonormal_pairs(self, p, seed, data):
+        # loadings sqrt(p) Q with principal angles down to 1e-10
+        k = data.draw(st.integers(1, p // 2))
+        exponents = data.draw(st.lists(st.floats(-10, 0.18), min_size=k, max_size=k))
+        angles = 10.0 ** np.array(exponents)
+        w = random_orthogonal(np.random.default_rng(seed), p)
+        old = w[:, :k]
+        new = np.cos(angles) * old + np.sin(angles) * w[:, k:2 * k]
+        a_new, a_old = math.sqrt(p) * new, math.sqrt(p) * old
+        got = _sine(a_new / math.sqrt(p), a_old / math.sqrt(p))
+        assert abs(got - subspace_distance(a_new, a_old)) <= 1e-12
+        assert abs(got - np.sin(angles.max())) <= 1e-12
+        wider = math.sqrt(p) * w[:, :k + 1]
+        assert _sine(a_new / math.sqrt(p), wider / math.sqrt(p)) == 1.0
+        assert subspace_distance(a_new, wider) == 1.0
+
+    @pytest.mark.parametrize("lags", [(0,), (1, 2)])
+    def test_eigensystem_is_top_k_on_mode_matrices(self, lags):
+        x, _ = simulate_dataset(scenario_config("II", 12, (7, 6, 5), (2, 2, 2)))
+        moments = series_moments(x, (0, 1, 2))
+        for d, p_d in enumerate(x.shape[1:]):
+            m = _mode_matrix([moments.grams[h][d] for h in lags], lags, len(x),
+                             x[0].size)
+            core, public = _eigensystem(m), top_k_eigensystem(m, p_d)
+            assert np.array_equal(core.values, public.values)
+            assert np.array_equal(core.vectors, public.vectors)

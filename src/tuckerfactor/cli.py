@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimation import _start, extract_factors, reconstruct_signals, varimax
+from .estimation import _signal_pieces, _start, extract_factors, varimax
 from .experiment import (
     METHODS,
     OPTIONS,
@@ -45,7 +45,7 @@ from .io import (
 )
 from .metrics import _reconstruction_sums, _relative_error
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .tensor import _pieces
+from .tensor import mode_product
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -171,11 +171,13 @@ def _cmd_estimate(args) -> int:
     start = time.perf_counter()
     fit = METHODS[args.method].fit(series, cfg, None)
     seconds = time.perf_counter() - start
-    loadings = fit.loadings
-    if args.varimax:
-        loadings = [varimax(a)[0] for a in loadings]
+    loadings, factors = list(fit.loadings), fit.factors
+    if args.varimax:  # loadings A_d q_d keep their signals with cores x_d q_d'
+        for d, a in enumerate(fit.loadings):
+            loadings[d], q = varimax(a)
+            factors = mode_product(factors, q.T, d + 1)
     write_loadings(args.out, loadings)
-    write_tensor_series(f"{args.out}.cores", fit.factors)
+    write_tensor_series(f"{args.out}.cores", factors)
     print(f"method={args.method} ranks={','.join(map(str, fit.ranks))} "
           f"iterations={fit.iterations} converged={fit.converged} "
           f"seconds={seconds:.3f}")
@@ -198,28 +200,20 @@ def _cmd_rank(args) -> int:
 def _cmd_reconstruct(args) -> int:
     series = read_tensor_series(args.data)
     loadings = read_loadings(args.loadings)
-    if len(loadings) != series.ndim - 1:
-        raise ValueError(
-            f"{len(loadings)} loading files for {series.ndim - 1}-way data"
-        )
     center = not args.no_center
+    # the fits' cores: projected, then less their own temporal mean
+    factors = extract_factors(series, loadings, center)
     mean = series.mean(axis=0) if center else None
     sums = (0.0, 0.0)
     out = open(args.out, "wb") if args.out is not None else contextlib.nullcontext()
-    # one pass over chunks of whole tensors: no full-size copy besides the
-    # series, and the bits of the whole-array computation
+    # written and scored from the same pieces: no full-size copy of the series
     try:
         with out:
             if args.out is not None:
                 out.write(_header(series.shape))
-            for s in _pieces(series.shape):
-                x = series[s]
-                xc = x - mean if center else x
-                signals = reconstruct_signals(extract_factors(xc, loadings), loadings)
-                if args.centered_output:
-                    x = xc
-                elif center:
-                    signals += mean
+            for s, signals in _signal_pieces(factors, loadings,
+                                             None if args.centered_output else mean):
+                x = series[s] - mean if args.centered_output and center else series[s]
                 sums = _reconstruction_sums(x, signals, *sums)
                 if args.out is not None:
                     _write_payload(out, signals)
@@ -237,20 +231,18 @@ def _cmd_bench(args) -> int:
         config = parse_experiment_config(args.config)
     except ValueError as exc:  # a value of the file, named by its key
         return _usage_error("bench", f"{args.config}: {exc}")
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.reps is not None:
-        config.replications = args.reps
-        if config.sim is not None:
-            config.sim.replications = args.reps
-    if args.seed is not None and config.sim is not None:
-        config.sim.seed = args.seed
-    if args.methods is not None:
-        config.methods = [m.strip() for m in args.methods.replace(",", " ").split()]
-    unknown = [m for m in config.methods if m not in METHODS]
-    if unknown:  # from the file or the flag: a usage error, before any output
-        return _usage_error("bench", f"unknown method {unknown[0]!r} "
-                            f"(choose from {', '.join(METHODS)})")
+    methods = None if args.methods is None else args.methods.replace(",", " ").split()
+    sim = (None if args.seed is None or config.sim is None
+           else dataclasses.replace(config.sim, seed=args.seed))
+    # each override through the configs' own checks, named by its flag
+    for flag, name, value in (("--out", "out_dir", args.out), ("--seed", "sim", sim),
+                              ("--reps", "replications", args.reps),
+                              ("--methods", "methods", methods)):
+        if value is not None:
+            try:
+                config = dataclasses.replace(config, **{name: value})
+            except ValueError as exc:
+                return _usage_error("bench", f"{flag}: {exc}")
     config.estimators = {m: dataclasses.replace(cfg, **_estimator_options(args))
                          for m, cfg in config.estimators.items()}
     config.apply_varimax |= args.varimax

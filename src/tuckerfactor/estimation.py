@@ -271,6 +271,17 @@ def reconstruct_signals(factors: np.ndarray, loadings) -> np.ndarray:
     return multi_mode_product(factors, loadings, modes=modes)
 
 
+def _signal_pieces(factors, loadings, mean=None):
+    """``(s, S[s] + mean)`` (``S[s]`` when ``mean`` is None) for each run ``s``
+    of whole tensors (:func:`tensor._pieces`) of ``S = reconstruct_signals(
+    factors, loadings)``: the bits of the whole array, which is never built."""
+    for (s,) in _pieces((len(factors), *(a.shape[0] for a in loadings))):
+        signals = reconstruct_signals(factors[s], loadings)
+        if mean is not None:
+            signals += mean
+        yield s, signals
+
+
 def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     """Index maximizing the consecutive eigenvalue ratio.
 
@@ -378,8 +389,8 @@ def estimate_ranks(
         loadings = _check_init(loadings, x.shape[1:], "loadings")
         fitted, _ = _loadings_from_spectra(
             x.shape[1:], "auto", k_max, lambda: iterate_projected_fit(
-                x, [a.shape[1] for a in loadings], loadings, _projected_covariance,
-                center, max_iter=1, update_within_sweep=False)[1])
+                x, [a.shape[1] for a in loadings], loadings, (0,), center,
+                max_iter=1, update_within_sweep=False)[1])
     return tuple(a.shape[1] for a in fitted)
 
 
@@ -470,8 +481,7 @@ def _fit(x, lags, ranks, k_max, center, moments, init=None, max_iter=None,
     loadings, sweeps, converged, history, factors = init, 0, True, [], None
     if max_iter is not None:
         loadings, systems, sweeps, converged, history, factors = iterate_projected_fit(
-            x, ranks, init, lambda y: _projected_covariance(y, lags), center, tol,
-            max_iter, update_within_sweep)
+            x, ranks, init, lags, center, tol, max_iter, update_within_sweep)
         spectra = [es.values for es in systems]
     if factors is None:
         factors = extract_factors(x, loadings, center)
@@ -534,7 +544,7 @@ def iterate_projected_fit(
     x: np.ndarray,
     ranks,
     init,
-    stack_op,
+    lags,
     center: bool,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -544,14 +554,13 @@ def iterate_projected_fit(
 
     Each sweep refreshes the modes in order.  Mode d's stack is the series
     projected through the other modes' loadings (:func:`projected_series`),
-    centred with ``center``; ``stack_op`` maps that ``(T, p_d, k_-d)``
-    stack to a ``(p_d, p_d)`` matrix, checked finite and exactly symmetric
-    (it ends in :func:`_mode_matrix`), whose top ``ranks[d]`` eigenvectors
-    are the new loadings.  With ``update_within_sweep`` mode d's stack
-    takes this sweep's new loadings of the lower modes, else the sweep's
-    start loadings.  Sweeps stop once the largest per-mode projector
-    distance across a sweep is at most ``tol``, or after ``max_iter``; it is
-    taken from the loadings' orthonormal eigenvectors, with a QR for ``init``.
+    centred with ``center``; the top ``ranks[d]`` eigenvectors of its
+    :func:`_projected_covariance` at ``lags`` are the new loadings.  With
+    ``update_within_sweep`` mode d's stack takes this sweep's new loadings
+    of the lower modes, else the sweep's start loadings.  Sweeps stop once
+    the largest per-mode projector distance across a sweep is at most
+    ``tol``, or after ``max_iter``; it is taken from the loadings'
+    orthonormal eigenvectors, with a QR for ``init``.
 
     A sweep walks one prefix chain, ``P_0 = X`` and ``P_{d+1} = P_d x_d
     A_d'``: mode d's stack contracts the higher modes of ``P_d``, the
@@ -578,7 +587,8 @@ def iterate_projected_fit(
         for d, (p_d, k_d) in enumerate(zip(dims, ranks)):
             y = _project(prefix, projector, range(d + 1, len(dims)), p // p_d, d)
             y = _centred(y, center)
-            es = systems[d] = _nondegenerate(d, _eigensystem(stack_op(y)))
+            es = systems[d] = _nondegenerate(d, _eigensystem(
+                _projected_covariance(y, lags)))
             bases[d] = es.vectors[:, :k_d]
             current[d] = np.sqrt(p_d) * bases[d]
             if d < len(dims) - 1:

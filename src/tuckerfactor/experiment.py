@@ -10,10 +10,9 @@ remaining metrics describe the whole fit and repeat across a fit's mode
 rows.  Aggregate rows with ``rep`` set to ``mean`` and ``sd`` follow the
 per-replication block.  Failures abort only their own replication: the
 row keeps the method and timing, leaves the metrics empty, and the error
-is logged.  ``seconds`` is a fit plus its signals; a replication's one
-moment pass (:func:`~tuckerfactor.estimation.series_moments`) is charged
-to the first method that reads it, so the seconds of a replication still
-sum to all its work.
+is logged.  ``seconds`` is the fit alone, not its scoring; the one moment
+pass of a replication (:func:`~tuckerfactor.estimation.series_moments`)
+is charged to the first method that reads it.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .baseline import itipup_fit
 from .estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _signal_pieces,
     _start,
     ipmopca_fit,
     mopca_fit,
@@ -51,7 +51,6 @@ from .metrics import (
     rank_accuracy,
 )
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .tensor import _pieces
 
 logger = logging.getLogger(__name__)
 
@@ -150,6 +149,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ValueError("at least one method is required")
+        if unknown := [m for m in self.methods if m not in METHODS]:
+            raise ValueError(f"unknown method {unknown[0]!r} "
+                             f"(choose from {', '.join(METHODS)})")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if (self.sim is None) == (self.input_path is None):
@@ -163,8 +165,9 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
               lags=()) -> tuple[EvalReport, object]:
     """Fit and score one method.  ``shared`` maps a ``center`` flag to the
     replication's moments; the first method to need one builds it at
-    ``lags`` inside its timer, so the reports' seconds sum to all the work.
-    Without ``shared`` the fit builds its own, at its own lags."""
+    ``lags`` inside its timer, so the reports' seconds sum to all the
+    fitting; ``shared["truth"]`` keeps the last run of true signals for the
+    next method.  Without ``shared`` the fit builds its own moments."""
     start = time.perf_counter()
     try:
         spec = METHODS[method]
@@ -174,7 +177,6 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
             shared[cfg.center] = series_moments(series, lags, cfg.center)
         moments = shared[cfg.center]
         fit = spec.fit(series, cfg, moments)
-        s_hat = fit.signals  # built on first access: timed with the fit
         seconds = time.perf_counter() - start
         # an automatic fit already applied the ratio rule; explicit ranks
         # take it, untimed, from the start spectra the fit left in the moments
@@ -186,20 +188,15 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
         logger.warning("replication %d, method %s failed: %s", rep, method, exc)
         return EvalReport(method=method, replication=rep, seconds=seconds,
                           error=str(exc)), None
-    # RE and RMSE over chunks of whole tensors, with the mean added per
-    # tensor and the true signals rebuilt per chunk: the same per-tensor
-    # sums, in the same order, as the whole-array metrics, without their
-    # full-size operands.  A one-chunk series shares the cached truth
-    # signals across methods.
+    # RE and RMSE from the fitted (plus the mean) and true signals of each run
+    # of tensors: the whole-array metrics' per-tensor sums, in their order
     re_sums, rmse_num = (0.0, 0.0), 0.0
-    chunks = _pieces(series.shape)
-    for s in chunks:
-        re_sums = _reconstruction_sums(series[s], s_hat[s], *re_sums, fit.mean)
+    for s, s_hat in _signal_pieces(fit.factors, fit.loadings, fit.mean):
+        re_sums = _reconstruction_sums(series[s], s_hat, *re_sums)
         if truth is not None:
-            s_true = (truth.signals if len(chunks) == 1
-                      else reconstruct_signals(truth.cores[s], truth.loadings))
-            rmse_num, _ = _reconstruction_sums(s_true, s_hat[s], rmse_num, 0.0,
-                                               fit.mean)
+            if shared.get("truth", (None,))[0] != s:
+                shared["truth"] = s, reconstruct_signals(truth.cores[s], truth.loadings)
+            rmse_num, _ = _reconstruction_sums(shared["truth"][1], s_hat, rmse_num, 0.0)
     re_val = _relative_error(*re_sums)
     distances = rmse = acc = None
     if truth is not None:
@@ -237,7 +234,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
     per-fit reports.
     """
     lags = {}  # center flag -> every lag its methods read from the moments
-    for method in config.methods:  # an unknown method raises here, before any output
+    for method in config.methods:
         cfg = config.estimator_for(method)
         lags.setdefault(cfg.center, set()).update(METHODS[method].lags(cfg))
     os.makedirs(config.out_dir, exist_ok=True)
@@ -256,7 +253,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
             series, truth = simulate_dataset(config.sim, rep)
         else:
             series, truth = input_series, None
-        shared = {}  # one moment pass per replication and center flag
+        shared = {}  # the replication's moments and last run of true signals
         for method in config.methods:
             cfg = config.estimator_for(method)
             report, fit = _evaluate(method, rep, series, truth, cfg, shared,
@@ -276,7 +273,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
             if config.emit_loadings and fit is not None:
                 _emit_loading_csvs(config.out_dir, rep, method, fit,
                                    config.apply_varimax)
-            fit = None  # its signals would outlive it into the next method's fit
         logger.info("replication %d/%d done", rep + 1, config.replications)
 
     rows.extend(_aggregate_rows(reports, config.methods, d_count))
@@ -394,7 +390,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     exp = parser["experiment"]
     methods = [m.strip() for m in exp.get("methods", "mopca").replace(",", " ").split()]
     seed = _read(parser, "experiment", "seed", int, 0)
-    replications = _read(parser, "experiment", "replications", int, 1)
     sim = None
     if "simulation" in parser:
         phi = _read(parser, "simulation", "phi", float, 0.0)
@@ -415,7 +410,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
                 phi=phi,
                 psi=psi,
                 seed=_read(parser, "simulation", "seed", int, seed),
-                replications=replications,
             )
         except ValueError as exc:
             raise ValueError(f"[simulation]: {exc}") from None
@@ -426,7 +420,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
                   for method in METHODS}
     return ExperimentConfig(
         methods=methods,
-        replications=replications,
+        replications=_read(parser, "experiment", "replications", int, 1),
         out_dir=exp.get("out", "."),
         sim=sim,
         input_path=exp.get("input", None),

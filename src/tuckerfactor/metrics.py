@@ -56,22 +56,18 @@ def reconstruction_error(series: np.ndarray, signals: np.ndarray) -> float:
     return _relative_error(*_reconstruction_sums(series, signals))
 
 
-def _reconstruction_sums(series, signals, num=0.0, den=0.0, offset=None):
+def _reconstruction_sums(series, signals, num=0.0, den=0.0):
     """Running sums ``num + sum_t ||S_t - X_t||_F^2`` and
     ``den + sum_t ||X_t||_F^2``, added one tensor at a time in order.
 
     Feeding consecutive chunks of a series, each starting from the sums
     of the chunks before it, gives the bits of one whole-series call.
-    With ``offset`` every ``S_t`` is ``signals[t] + offset``, formed one
-    tensor at a time, with the bits of a call on ``signals + offset``.
     """
     series = np.asarray(series, dtype=float)
     signals = np.asarray(signals, dtype=float)
     if series.shape != signals.shape:
         raise ValueError(f"shape mismatch: {series.shape} vs {signals.shape}")
     for s_t, x_t in zip(np.atleast_1d(signals), np.atleast_1d(series)):
-        if offset is not None:
-            s_t = s_t + offset
         r_t, x_t = (s_t - x_t).ravel(), x_t.ravel()
         num += r_t @ r_t
         den += x_t @ x_t

@@ -53,7 +53,6 @@ class SimConfig:
     phi: float = 0.0
     psi: float = 0.0
     seed: int = 0
-    replications: int = 1
 
     def __post_init__(self):
         self.dims = tuple(int(p) for p in self.dims)
@@ -89,13 +88,13 @@ class SimTruth:
 
 
 def scenario_config(name: str, T: int, dims, ranks=DEFAULT_RANKS,
-                    seed: int = 0, replications: int = 1) -> SimConfig:
+                    seed: int = 0) -> SimConfig:
     """SimConfig for one of the named scenarios I-IV."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     phi, psi = SCENARIOS[name]
     return SimConfig(T=T, dims=tuple(dims), ranks=tuple(ranks), phi=phi,
-                     psi=psi, seed=seed, replications=replications)
+                     psi=psi, seed=seed)
 
 
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:

@@ -146,6 +146,20 @@ class TestEstimateAndReconstruct:
         cores = read_tensor_series(tmp_path / "fit.cores")
         assert cores.shape == (12, 2, 3, 4)
 
+    def test_varimax_cores_keep_the_signals(self, tmp_path):
+        # the rotated loadings are saved with the cores rotated back, so the
+        # saved cores x saved loadings are the fit's signals
+        series, _ = simulate_dataset(scenario_config("II", 12, (10, 9, 8), seed=4))
+        path = tmp_path / "data.tnsf"
+        write_tensor_series(path, series)
+        prefix = str(tmp_path / "fit")
+        assert main(["estimate", str(path), "--varimax", "--out", prefix]) == 0
+        fit = METHODS["mopca"].fit(series, EstimatorConfig(), None)
+        loadings = read_loadings(prefix)
+        assert not all(np.array_equal(a, b) for a, b in zip(loadings, fit.loadings))
+        saved = reconstruct_signals(read_tensor_series(f"{prefix}.cores"), loadings)
+        assert np.abs(saved - fit.signals).max() <= 1e-10
+
     def test_centered_output_flag(self, noiseless_file, tmp_path, capsys):
         main(["estimate", noiseless_file, "--ranks", "2,3,4",
               "--out", str(tmp_path / "fit")])
@@ -224,14 +238,15 @@ class TestOneCopyPipeline:
         assert main(["reconstruct", path, "--loadings", prefix,
                      "--out", str(out)] + flags) == 0
 
+        # the fits' cores, projected and then less their own mean
         loadings = read_loadings(prefix)
         center = "--no-center" not in flags
         mean = series.mean(axis=0)
-        x = series - mean if center else series
-        signals = reconstruct_signals(extract_factors(x, loadings), loadings)
+        signals = reconstruct_signals(extract_factors(series, loadings, center),
+                                      loadings)
         reference = series
         if "--centered-output" in flags:
-            reference = x
+            reference = series - mean if center else series
         elif center:
             signals += mean
         write_tensor_series(tmp_path / "ref.tnsf", signals)
@@ -240,6 +255,21 @@ class TestOneCopyPipeline:
         assert out.read_bytes() == (tmp_path / "ref.tnsf").read_bytes()
         # the chunked writes give the bytes of a Fortran-order ravel
         assert out.read_bytes()[16 + 8 * 3:] == fortran_payload(signals)
+
+    @pytest.mark.parametrize("method", ["mopca", "pmopca"])
+    def test_reconstruct_takes_the_saved_cores(self, data, tmp_path, method):
+        # these fits save extract_factors' cores, which reconstruct takes
+        # the same way: its signals are saved cores x loadings + mean
+        path, series = data
+        prefix = str(tmp_path / "fit")
+        assert main(["estimate", path, "--method", method, "--out", prefix]) == 0
+        out = tmp_path / "rec.tnsf"
+        assert main(["reconstruct", path, "--loadings", prefix,
+                     "--out", str(out)]) == 0
+        signals = reconstruct_signals(read_tensor_series(f"{prefix}.cores"),
+                                      read_loadings(prefix))
+        signals += series.mean(axis=0)
+        assert read_tensor_series(out).tobytes() == signals.tobytes()
 
     def test_failed_reconstruct_leaves_no_output(self, data, tmp_path):
         # loadings with the wrong row counts fail inside the chunk pass,
@@ -397,6 +427,27 @@ class TestBenchUnknownMethod:
         assert main(["bench", str(cfg), *flag]) == 1
         assert "unknown method 'magic'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBenchOverrides:
+    """A ``bench`` flag override goes through the configs' checks: a value
+    they reject is a usage error naming the flag, before any simulation or
+    output."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--reps", "0"), ("--reps", "-2"), ("--methods", ","),
+    ])
+    def test_rejected_override_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              flag, value):
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(TestBenchUnknownMethod.CONFIG.format(methods="mopca", out=out))
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert main(["bench", str(cfg), flag, value]) == 1
+        assert f"{flag}:" in capsys.readouterr().err
+        assert seen == [] and not out.exists()
 
 
 class TestTypedErrorExitCodes:

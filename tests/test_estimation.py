@@ -812,10 +812,11 @@ class TestDimensionTree:
         init = [rng.standard_normal((p, k)) for p, k in zip(dims, ranks)]
         stacks, covs, systems = [], [], []
         eigensystem = estimation._eigensystem
+        projected_covariance = estimation._projected_covariance
 
-        def op(y):
+        def op(y, lags):
             stacks.append(y.copy())
-            covs.append(estimation._projected_covariance(y))
+            covs.append(projected_covariance(y, lags))
             return covs[-1]
 
         def recorded(m):
@@ -824,10 +825,11 @@ class TestDimensionTree:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_eigensystem", recorded)
+            mp.setattr(estimation, "_projected_covariance", op)
             if budget is not None:
                 mp.setattr(tensor, "_CHUNK_ELEMS", max(1, int(budget * x[0].size)))
             loadings, _, sweeps, _, _, factors = estimation.iterate_projected_fit(
-                x, ranks, init, op, center, max_iter=2, update_within_sweep=update)
+                x, ranks, init, (0,), center, max_iter=2, update_within_sweep=update)
         # the same sweeps through projected_series, from the sweep loop's
         # own eigensystems, so that only the contraction order differs
         current, i = list(init), 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_orthogonal
 from tuckerfactor import (
     column_space_distance,
-    metrics,
     mopca_fit,
     rank_accuracy,
     reconstruction_error,
@@ -120,10 +119,3 @@ class TestReconstructionError:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             reconstruction_error(np.zeros((2, 2)), np.zeros((2, 2)))
-
-    def test_offset_sums_match_offset_signals(self, rng):
-        # the offset is added one tensor at a time, with the same bits
-        x, s = rng.standard_normal((2, 5, 4, 3))
-        offset = rng.standard_normal((4, 3)) + 10.0
-        got = metrics._reconstruction_sums(x, s, 1.5, 2.5, offset)
-        assert got == metrics._reconstruction_sums(x, s + offset, 1.5, 2.5)

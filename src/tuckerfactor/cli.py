@@ -232,8 +232,9 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:  # a value of the file, named by its key
         return _usage_error("bench", f"{args.config}: {exc}")
     methods = None if args.methods is None else args.methods.replace(",", " ").split()
-    sim = (None if args.seed is None or config.sim is None
-           else dataclasses.replace(config.sim, seed=args.seed))
+    if args.seed is not None and config.sim is None:
+        return _usage_error("bench", "--seed: the data comes from [experiment] input")
+    sim = None if args.seed is None else dataclasses.replace(config.sim, seed=args.seed)
     # each override through the configs' own checks, named by its flag
     for flag, name, value in (("--out", "out_dir", args.out), ("--seed", "sim", sim),
                               ("--reps", "replications", args.reps),

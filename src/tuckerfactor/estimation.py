@@ -26,9 +26,10 @@ start spectra; a varimax rotation rounds out the module.
 
 Centring holds the series once: no estimator builds ``X_t - mean``.
 The mean and the mode covariances come from :func:`series_moments`, one
-pass (``tensor._mode_grams``) that centres each tensor, window by window,
-into a ring of reused buffers and accumulates every mode's Gram matrix
-from them.
+pass (``tensor._mode_grams``) whose two reads (mode 1, modes 2..D)
+centre each tensor, window by window, into rings of reused buffers and
+sum every mode's Gram matrix from them; they run at once, each with its
+own ring, when a tensor is larger than the budget, else in turn.
 Its :class:`SeriesMoments` can be passed to several fits of one series
 as ``moments=``, so they share that pass and the start spectra, which
 it keeps per lag set.

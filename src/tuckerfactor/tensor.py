@@ -22,7 +22,8 @@ walks the series in the pieces of :func:`_pieces`, by one rule per axis:
 runs of whole tensors of at most ``_CHUNK_ELEMS`` elements along the
 first axis, or windows of one tensor, at any tensor size, along a later
 one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
-or the simulator's pre-sample noise state.
+or the simulator's pre-sample noise state.  The moment pass's two reads
+run at once above the budget, each with its own ring, else in turn.
 """
 
 from __future__ import annotations
@@ -190,7 +191,9 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     2 and D each take one BLAS call per window.  Each window is centred
     once into a ring of ``max(lags) + 1`` window buffers, which holds its
     lag partners.  A 1-way series, which :func:`_pieces` cuts into runs,
-    goes through the same loop a tensor at a time.
+    goes through the same loop a tensor at a time.  For a tensor larger than
+    ``_CHUNK_ELEMS`` the reads run at once, the second in a thread started
+    for this call, each with its own ring, with the bits of reads in turn.
     """
     t_len, slots = x.shape[0], max(lags) + 1
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
@@ -198,10 +201,11 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     swapped = natural[:1] + natural[2:3] + natural[1:2] + natural[3:]  # mode 2 first
     passes = [(_pieces(x.shape, 2), [1], natural),
               (_pieces(x.shape, 1), range(2, x.ndim), swapped)]
-    # one ring for both passes, as wide as the widest (a first or last) window
-    ring = np.empty((slots, max(x[s[0].start][s[1:]].size for pieces, _, _ in passes
-                                for s in (pieces[0], pieces[-1]))))
-    for pieces, modes, order in passes:
+    # a pass's ring is as wide as its widest (a first or last) window
+    widths = [max(x[s[0].start][s[1:]].size for s in (pieces[0], pieces[-1]))
+              for pieces, _, _ in passes]
+
+    def read(pieces, modes, order, ring):
         for s in pieces if modes else ():
             window = s[1:]
             m = 0.0 if mean is None else mean[(np.newaxis,) + window]
@@ -221,6 +225,20 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
                     lead, lagged = held[(t - h) % slots], held[t % slots]
                     for mode in modes:
                         grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
+
+    if x.ndim == 2 or x[0].size <= _CHUNK_ELEMS:  # in turn, in the caller
+        ring = np.empty((slots, max(widths)))
+        for pass_ in passes:
+            read(*pass_, ring)
+        return out
+    # imported here: at module level it raised study-small peak RSS by 3%
+    from concurrent.futures import ThreadPoolExecutor
+    # the caller allocates the rings: pages a worker allocates stay resident
+    rings = [np.empty((slots, w)) for w in widths]
+    with ThreadPoolExecutor(1) as worker:
+        second = worker.submit(read, *passes[1], rings[1])
+        read(*passes[0], rings[0])
+        second.result()
     return out
 
 

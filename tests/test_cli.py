@@ -449,6 +449,20 @@ class TestBenchOverrides:
         assert f"{flag}:" in capsys.readouterr().err
         assert seen == [] and not out.exists()
 
+    def test_seed_on_input_data_is_usage_error(self, tmp_path, capsys, monkeypatch, rng):
+        # a file's data has no seed to override
+        data, out = tmp_path / "data.tnsf", tmp_path / "results"
+        write_tensor_series(data, rng.standard_normal((10, 6, 5)))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"[experiment]\nmethods = mopca\nout = {out}\ninput = {data}\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert main(["bench", str(cfg), "--seed", "5"]) == 1
+        assert "--seed:" in capsys.readouterr().err
+        assert seen == [] and not out.exists()
+        assert main(["bench", str(cfg)]) == 0 and len(seen) == 1  # without it, runs
+
 
 class TestTypedErrorExitCodes:
     """Each input the fits reject by name exits with the numeric-error code;

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,3 +141,26 @@ def test_higher_is_better_verdict():
 def test_no_bound_gives_no_regression():
     s = paired_bench.summarize(pairs_of([10.0] * 5, [20.0] * 5), LOWER)["fit_s"]
     assert s["bound"] is None and s["verdict"] == "ok"
+
+
+def test_each_run_records_its_wall_and_child_cpu_time(monkeypatch):
+    usage = iter([(10.0, 1.0), (13.0, 1.5)])  # children's (user, system) before, after
+    clock = iter([100.0, 102.0])
+    monkeypatch.setattr(paired_bench.resource, "getrusage",
+                        lambda who: SimpleNamespace(**dict(zip(("ru_utime", "ru_stime"),
+                                                               next(usage)))))
+    monkeypatch.setattr(paired_bench.time, "perf_counter", lambda: next(clock))
+    lines = [json.dumps({"detail": "d"}), json.dumps({"metrics": {"fit_s": {"value": 1.5}}})]
+    monkeypatch.setattr(paired_bench.subprocess, "run", lambda *a, **k: SimpleNamespace(
+        returncode=0, stdout="\n".join(lines) + "\n", stderr=""))
+    result = paired_bench.run_once("tree", "files", 1, 1.0)
+    assert result["metrics"] == {"fit_s": 1.5} and result["detail"] == "d"
+    assert result["wall_s"] == pytest.approx(2.0)
+    assert result["cpu_s"] == pytest.approx(3.5)
+
+
+def test_cpu_per_wall_is_each_sides_median():
+    runs = [{"parent": {"cpu_s": c, "wall_s": 2.0}, "change": {"cpu_s": 2 * c, "wall_s": 2.0}}
+            for c in (1.0, 2.0, 9.0)]
+    assert paired_bench.cpu_per_wall(runs) == {"parent": 1.0, "change": 2.0}
+    assert paired_bench.cpu_per_wall([]) == {}

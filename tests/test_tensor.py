@@ -1,5 +1,8 @@
 """Tests for the dense tensor primitives and their index conventions."""
 
+import concurrent.futures
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -15,6 +18,7 @@ from tuckerfactor import (
     mode_covariance,
     mode_product,
     multi_mode_product,
+    series_moments,
     tipup_mode_matrix,
     unfold,
     vectorize,
@@ -270,6 +274,93 @@ class TestFusedModeGrams:
             got = tensor_module._mode_grams(x, x.mean(axis=0), (0, 1))
             for g, w in zip(sum(got, []), sum(want, [])):
                 assert np.array_equal(g, w)
+
+
+class InlineExecutor:
+    """A one-worker executor that runs each task in the calling thread, at
+    submission: the concurrent reads one after the other."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def record_threads(monkeypatch):
+    """The set of ids of the threads that run ``tensor._mode_gram``."""
+    seen, gram = set(), tensor_module._mode_gram
+
+    def recorded(x, y, axis):
+        seen.add(threading.get_ident())
+        return gram(x, y, axis)
+
+    monkeypatch.setattr(tensor_module, "_mode_gram", recorded)
+    return seen
+
+
+class TestConcurrentReads:
+    """Above the budget ``tensor._mode_grams`` reads modes 2..D in a thread
+    of its own while the caller reads mode 1; within it both reads run in
+    the caller."""
+
+    @pytest.mark.parametrize("lags", [(0,), (1,), (0, 1, 2)])
+    @pytest.mark.parametrize("shape", [(6, 7, 5), (5, 4, 3, 6), (4, 3, 4, 3, 5)])
+    def test_same_bits_as_both_reads_in_the_caller(self, monkeypatch, rng, shape, lags):
+        x = rng.standard_normal(shape) + 1.0
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", x[0].size // 3)
+        seen = record_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost update shows
+        try:
+            got = tensor_module._mode_grams(x, x.mean(axis=0), lags)
+        finally:
+            sys.setswitchinterval(interval)
+        # the caller and one other thread
+        assert len(seen) == 2 and threading.get_ident() in seen
+        seen.clear()
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        want = tensor_module._mode_grams(x, x.mean(axis=0), lags)
+        assert seen == {threading.get_ident()}
+        for g, w in zip(sum(got, []), sum(want, [])):
+            assert np.array_equal(g, w)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, rng):
+        class WorkerError(Exception):
+            pass
+
+        gram, caller = tensor_module._mode_gram, threading.get_ident()
+
+        def failing(x, y, axis):
+            if threading.get_ident() != caller:
+                raise WorkerError("in the worker's read")
+            return gram(x, y, axis)
+
+        x = rng.standard_normal((5, 4, 3, 6))
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", x[0].size // 2)
+        monkeypatch.setattr(tensor_module, "_mode_gram", failing)
+        before = threading.active_count()
+        with pytest.raises(WorkerError):
+            series_moments(x, (0, 1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_tensors_within_the_budget_start_no_thread(self, monkeypatch, rng, per_chunk):
+        x = rng.standard_normal((5, 4, 3, 6))
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", per_chunk * x[0].size)
+        seen = record_threads(monkeypatch)
+        before = threading.active_count()
+        series_moments(x, (0, 1))
+        assert seen == {threading.get_ident()}
+        assert threading.active_count() == before
 
 
 class TestPieces:

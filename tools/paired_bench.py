@@ -13,7 +13,9 @@ the first pair), with the run length of ``BENCHMARK.json`` unless
 others and are kept apart from the summary.
 
 The result goes to ``BENCH_<workload>_pairs.json`` (or ``--out``): every
-run's metrics, correctness and detail line; for each end-to-end metric
+run's metrics, correctness, detail line, wall time and CPU time; each
+side's median CPU seconds per wall second over all its runs, above 1
+where the runs kept both cores busy; for each end-to-end metric
 of ``BENCHMARK.json``, each side's median and quartiles, the pairs the
 working tree won, lost and tied, and whether the gain rule holds (wins
 in at least nine tenths of the pairs, and medians apart by more than the
@@ -33,10 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,18 +113,30 @@ def _seeds(text):
 
 def run_once(root, workload, seed, seconds):
     """One ``perfbench/run.py`` run in checkout ``root``; its result line
-    with the metric values flattened, plus its detail line."""
+    with the metric values flattened, plus its detail line, its ``wall_s``
+    and its ``cpu_s`` (the child's user plus system time)."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False)
+    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"run.py failed in {root} (seed {seed}): {done.stderr}")
     result = json.loads(lines[-1])
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     result["detail"] = json.loads(lines[-2])["detail"]
+    result["wall_s"] = wall
+    result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return result
+
+
+def cpu_per_wall(pairs):
+    """Each side's median ``cpu_s / wall_s`` over ``pairs``: above 1 when
+    its runs kept more than one core busy."""
+    return {side: statistics.median(p[side]["cpu_s"] / p[side]["wall_s"] for p in pairs)
+            for side in ("parent", "change") if pairs}
 
 
 def run_pairs(parent_root, workload, seeds, held_out, seconds, report, save):
@@ -169,13 +185,15 @@ def main(argv=None) -> int:
     sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     report = {"workload": args.workload, "parent": sha, "seconds": args.seconds,
-              "summary": {}, "held_out_summary": {}, "pairs": [], "held_out": []}
+              "summary": {}, "held_out_summary": {}, "cpu_per_wall": {},
+              "pairs": [], "held_out": []}
     out = args.out or ROOT / f"BENCH_{args.workload}_pairs.json"
 
     def save():
         metrics = bench["end_to_end"]
         report["summary"] = summarize(_values(report["pairs"]), metrics)
         report["held_out_summary"] = summarize(_values(report["held_out"]), metrics)
+        report["cpu_per_wall"] = cpu_per_wall(report["pairs"] + report["held_out"])
         out.write_text(json.dumps(report, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -194,6 +212,8 @@ def main(argv=None) -> int:
               f"{s['change']['q3']:.6g}]; wins {s['wins']}/{s['pairs']}, "
               f"gain shown: {s['gain_shown']}; worse by {s['worse_rel']:+.1%} "
               f"(bound {s['bound']}): {s['verdict']}")
+    print("cpu_s/wall_s: " + ", ".join(f"{side} {r:.3f}"
+                                       for side, r in report["cpu_per_wall"].items()))
     return 0
 
 

@@ -28,8 +28,8 @@ Centring holds the series once: no estimator builds ``X_t - mean``.
 The mean and the mode covariances come from :func:`series_moments`, one
 pass (``tensor._mode_grams``) whose two reads (mode 1, modes 2..D)
 centre each tensor, window by window, into rings of reused buffers and
-sum every mode's Gram matrix from them; they run at once, each with its
-own ring, when a tensor is larger than the budget, else in turn.
+sum every mode's Gram matrix from them; they run at once (large tensors,
+a core BLAS leaves idle) or in turn, each with its own ring.
 Its :class:`SeriesMoments` can be passed to several fits of one series
 as ``moments=``, so they share that pass and the start spectra, which
 it keeps per lag set.

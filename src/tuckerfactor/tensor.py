@@ -22,13 +22,16 @@ walks the series in the pieces of :func:`_pieces`, by one rule per axis:
 runs of whole tensors of at most ``_CHUNK_ELEMS`` elements along the
 first axis, or windows of one tensor, at any tensor size, along a later
 one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
-or the simulator's pre-sample noise state.  The moment pass's two reads
-run at once above the budget, each with its own ring, else in turn.
+or the simulator's pre-sample noise state.  The moment pass's two reads,
+each with its own ring, run at once for tensors over ``_AT_ONCE_ELEMS``
+when BLAS threads leave half the cores idle, else in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -42,6 +45,35 @@ _BATCH_ELEMS = 1 << 16
 # of whole tensors (projections, evaluation, CLI reconstruction) hold at
 # least one tensor, and windows of a tensor within it are the whole tensor
 _CHUNK_ELEMS = 1 << 18
+
+# elements of one tensor above which the moment pass's two reads may run
+# at once: at one BLAS thread on two cores they took 1.1-1.5x the time of
+# reads in turn on 20^3 tensors, 0.8-1.1x on 28^3-36^3, 0.54-0.8x from 44^3
+_AT_ONCE_ELEMS = 1 << 16
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    import glob
+
+    for lib in glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs", "*openblas*")):
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if (getter := getattr(ctypes.CDLL(lib), symbol, None)) is not None:
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _reads_at_once(x: np.ndarray) -> bool:
+    """Whether :func:`_mode_grams` reads ``x`` on two threads: for tensors
+    over ``_AT_ONCE_ELEMS`` where BLAS threads leave half the usable cores
+    idle (on cores BLAS used, the fit-large pass took twice as long)."""
+    if x.ndim == 2 or x[0].size <= _AT_ONCE_ELEMS or (getter := _blas_threads()) is None:
+        return False
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 2 * getter() <= (len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
@@ -191,9 +223,10 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     2 and D each take one BLAS call per window.  Each window is centred
     once into a ring of ``max(lags) + 1`` window buffers, which holds its
     lag partners.  A 1-way series, which :func:`_pieces` cuts into runs,
-    goes through the same loop a tensor at a time.  For a tensor larger than
-    ``_CHUNK_ELEMS`` the reads run at once, the second in a thread started
-    for this call, each with its own ring, with the bits of reads in turn.
+    goes through the same loop a tensor at a time.  Each read has its own
+    ring.  Where :func:`_reads_at_once` says so the reads run at once, the
+    second in a thread started for this call, with the bits of reads in
+    turn; else they run in turn in the caller.
     """
     t_len, slots = x.shape[0], max(lags) + 1
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
@@ -226,15 +259,14 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
                     for mode in modes:
                         grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
 
-    if x.ndim == 2 or x[0].size <= _CHUNK_ELEMS:  # in turn, in the caller
-        ring = np.empty((slots, max(widths)))
-        for pass_ in passes:
+    # the caller allocates the rings: pages a worker allocates stay resident
+    rings = [np.empty((slots, w)) for w in widths]
+    if not _reads_at_once(x):
+        for pass_, ring in zip(passes, rings):
             read(*pass_, ring)
         return out
     # imported here: at module level it raised study-small peak RSS by 3%
     from concurrent.futures import ThreadPoolExecutor
-    # the caller allocates the rings: pages a worker allocates stay resident
-    rings = [np.empty((slots, w)) for w in widths]
     with ThreadPoolExecutor(1) as worker:
         second = worker.submit(read, *passes[1], rings[1])
         read(*passes[0], rings[0])

@@ -1,6 +1,7 @@
 """Tests for the dense tensor primitives and their index conventions."""
 
-import concurrent.futures
+import os
+import subprocess
 import sys
 import threading
 from functools import reduce
@@ -276,25 +277,6 @@ class TestFusedModeGrams:
                 assert np.array_equal(g, w)
 
 
-class InlineExecutor:
-    """A one-worker executor that runs each task in the calling thread, at
-    submission: the concurrent reads one after the other."""
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = concurrent.futures.Future()
-        done.set_result(fn(*args))
-        return done
-
-
 def record_threads(monkeypatch):
     """The set of ids of the threads that run ``tensor._mode_gram``."""
     seen, gram = set(), tensor_module._mode_gram
@@ -307,16 +289,26 @@ def record_threads(monkeypatch):
     return seen
 
 
+def blas_and_cores(monkeypatch, threads, cores):
+    """Make ``_reads_at_once`` see ``threads`` BLAS threads (no BLAS it can
+    query when None) on ``cores`` usable cores."""
+    getter = None if threads is None else (lambda: threads)
+    monkeypatch.setattr(tensor_module, "_blas_threads", lambda: getter)
+    monkeypatch.setattr(tensor_module.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
 class TestConcurrentReads:
-    """Above the budget ``tensor._mode_grams`` reads modes 2..D in a thread
-    of its own while the caller reads mode 1; within it both reads run in
-    the caller."""
+    """``tensor._mode_grams`` reads modes 2..D in a thread of its own while
+    the caller reads mode 1 when ``_reads_at_once`` says so, else it runs
+    both reads in the caller."""
 
     @pytest.mark.parametrize("lags", [(0,), (1,), (0, 1, 2)])
     @pytest.mark.parametrize("shape", [(6, 7, 5), (5, 4, 3, 6), (4, 3, 4, 3, 5)])
     def test_same_bits_as_both_reads_in_the_caller(self, monkeypatch, rng, shape, lags):
         x = rng.standard_normal(shape) + 1.0
         monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", x[0].size // 3)
+        monkeypatch.setattr(tensor_module, "_reads_at_once", lambda x: True)
         seen = record_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a lost update shows
@@ -327,7 +319,7 @@ class TestConcurrentReads:
         # the caller and one other thread
         assert len(seen) == 2 and threading.get_ident() in seen
         seen.clear()
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(tensor_module, "_reads_at_once", lambda x: False)
         want = tensor_module._mode_grams(x, x.mean(axis=0), lags)
         assert seen == {threading.get_ident()}
         for g, w in zip(sum(got, []), sum(want, [])):
@@ -345,22 +337,47 @@ class TestConcurrentReads:
             return gram(x, y, axis)
 
         x = rng.standard_normal((5, 4, 3, 6))
-        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", x[0].size // 2)
+        monkeypatch.setattr(tensor_module, "_reads_at_once", lambda x: True)
         monkeypatch.setattr(tensor_module, "_mode_gram", failing)
         before = threading.active_count()
         with pytest.raises(WorkerError):
             series_moments(x, (0, 1))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    def test_tensors_within_the_budget_start_no_thread(self, monkeypatch, rng, per_chunk):
+    @pytest.mark.parametrize("threads, cores, at_once", [
+        (1, 2, True), (2, 4, True), (2, 2, False), (1, 1, False), (3, 4, False),
+        (None, 8, False)])
+    def test_at_once_where_blas_leaves_half_the_cores(self, monkeypatch, threads,
+                                                      cores, at_once):
+        blas_and_cores(monkeypatch, threads, cores)
+        shape = (2, tensor_module._AT_ONCE_ELEMS + 1)
+        assert tensor_module._reads_at_once(np.empty(shape)) is False  # 1-way
+        assert tensor_module._reads_at_once(np.empty(shape + (1,))) is at_once
+
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_small_tensors_start_no_thread(self, monkeypatch, rng, margin):
         x = rng.standard_normal((5, 4, 3, 6))
-        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", per_chunk * x[0].size)
+        blas_and_cores(monkeypatch, 1, 2)  # a spare core
+        monkeypatch.setattr(tensor_module, "_AT_ONCE_ELEMS", x[0].size + margin)
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMS", x[0].size // 3)
         seen = record_threads(monkeypatch)
         before = threading.active_count()
         series_moments(x, (0, 1))
         assert seen == {threading.get_ident()}
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_probe_reads_the_blas_thread_count(self, threads):
+        if tensor_module._blas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS to query")
+        script = ("from tuckerfactor import tensor; "
+                  "print(tensor._blas_threads()())")
+        src = os.path.dirname(os.path.dirname(tensor_module.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        # OpenBLAS runs at most one thread a core
+        assert int(done.stdout) == min(int(threads), os.cpu_count())
 
 
 class TestPieces:

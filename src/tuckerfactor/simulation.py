@@ -12,13 +12,14 @@ deterministic function of ``(seed, r)`` and independent of how many other
 replications run.  Within one dataset the draw order is fixed: loadings
 mode by mode, then the core path, then the noise path.
 
-Memory: the noise path is drawn in one call and becomes the series.  It
-is coloured, run through the AR(1) recursion and given its signals in
-place, one tensor window at a time (``tensor._pieces``), so a dataset
-holds its series once plus the pre-sample state tensor and a few
-temporaries, each a window of one tensor (of at most
-``tensor._CHUNK_ELEMS`` elements for a larger tensor).
-``SimTruth.signals`` is built on first access.
+Memory: the noise path is drawn run by run into the array that becomes
+the series; under the moment pass's rule (``tensor._second_thread``) a
+second thread draws while the caller colours the runs drawn.  It is
+coloured, run through the AR(1) recursion and given its signals in place,
+one tensor window at a time (``tensor._pieces``), so a dataset holds its
+series once plus the pre-sample state tensor and a few temporaries, each
+a window of one tensor (of at most ``tensor._CHUNK_ELEMS`` elements for a
+larger tensor).  ``SimTruth.signals`` is built on first access.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .estimation import reconstruct_signals
 from .spectral import thin_left_singular
-from .tensor import _pieces, mode_product
+from .tensor import _pieces, _second_thread, mode_product
 
 # (phi, psi) per scenario: factor / noise AR(1) coefficients
 SCENARIOS = {
@@ -146,35 +147,39 @@ def simulate_noise_path(T: int, dims, psi: float,
     Innovations are standard-normal tensors colored per mode by the
     Cholesky factor of the equicorrelation matrix, which makes the
     vectorized covariance the Kronecker product of the per-mode matrices.
-    The pre-sample state is a stationary draw.
+    The pre-sample state is a stationary draw.  Under the moment pass's
+    rule (``tensor._second_thread``) the innovations are drawn run by run
+    in a second thread while the caller colours the runs already drawn.
     """
     if not abs(psi) < 1:
         raise ValueError("psi must lie in (-1, 1)")
     dims = tuple(int(p) for p in dims)
     chol = [_equicorrelation_cholesky(p) for p in dims]
-
-    def innovation(n):
-        z = rng.standard_normal((n,) + dims)
-        # mode 1 first, as on the whole array: on pieces that hold whole
-        # mode-1 fibres, then the other modes on pieces along the first axis
-        for axis, first, stop in ((2, 0, 1), (1, 1, len(dims))):
-            for s in _pieces(z.shape, axis):
-                c = z[s]
-                for d in range(first, stop):
-                    c = mode_product(c, chol[d], d + 1)
-                z[s] = c
-        return z
-
     scale = np.sqrt(1.0 - psi * psi)
-    state = innovation(1)
-    # in place on the innovations; IEEE addition commutes, so bits are kept
-    out = innovation(T)
-    for s in _pieces(out.shape, 1):
-        window = s[1:]
-        for t in range(s[0].start, min(s[0].stop, T)):
-            piece = out[t][window]
-            piece *= scale
-            piece += psi * (out[t - 1][window] if t else state[0][window])
+    state, out = np.empty((1,) + dims), np.empty((T,) + dims)
+    runs = [state] + [out[s] for s in _pieces(out.shape)]
+    windows = [s[1:] for s in _pieces(state.shape, 1)]  # of one tensor
+    previous = state[0]
+    with _second_thread(out) as submit:
+        # the worker calls numpy alone and allocates nothing (see _mode_grams)
+        drawn = [submit(rng.standard_normal, out=z) for z in runs]
+        for z, draw in zip(runs, drawn):
+            draw.result()
+            # mode 1 first, as on the whole array: on pieces that hold whole
+            # mode-1 fibres, then the other modes on pieces along the first axis
+            for axis, first, stop in ((2, 0, 1), (1, 1, len(dims))):
+                for s in _pieces(z.shape, axis):
+                    c = z[s]
+                    for d in range(first, stop):
+                        c = mode_product(c, chol[d], d + 1)
+                    z[s] = c
+            # in place on the innovations; IEEE addition commutes, so bits are kept
+            for tensor in z if z is not state else ():
+                for w in windows:
+                    piece = tensor[w]
+                    piece *= scale
+                    piece += psi * previous[w]
+                previous = tensor
     return out
 
 

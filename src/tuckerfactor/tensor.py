@@ -22,16 +22,19 @@ walks the series in the pieces of :func:`_pieces`, by one rule per axis:
 runs of whole tensors of at most ``_CHUNK_ELEMS`` elements along the
 first axis, or windows of one tensor, at any tensor size, along a later
 one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
-or the simulator's pre-sample noise state.  The moment pass's two reads,
-each with its own ring, run at once for tensors over ``_AT_ONCE_ELEMS``
-when BLAS threads leave half the cores idle, else in turn.
+or the simulator's pre-sample noise state.  The moment pass's two reads
+(each with its own ring), and the simulator's noise draws and colouring,
+run at once for tensors over ``_AT_ONCE_ELEMS`` when BLAS threads leave
+half the cores idle, else in turn (:func:`_second_thread`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import types
 
 import numpy as np
 
@@ -67,13 +70,33 @@ def _blas_threads():
 
 
 def _reads_at_once(x: np.ndarray) -> bool:
-    """Whether :func:`_mode_grams` reads ``x`` on two threads: for tensors
-    over ``_AT_ONCE_ELEMS`` where BLAS threads leave half the usable cores
-    idle (on cores BLAS used, the fit-large pass took twice as long)."""
+    """Whether :func:`_second_thread` runs a pass over ``x`` on two threads:
+    for tensors over ``_AT_ONCE_ELEMS`` where BLAS threads leave half the
+    usable cores idle (on cores BLAS used, the fit-large pass took twice as long)."""
     if x.ndim == 2 or x[0].size <= _AT_ONCE_ELEMS or (getter := _blas_threads()) is None:
         return False
     affinity = getattr(os, "sched_getaffinity", None)
     return 2 * getter() <= (len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def _second_thread(x: np.ndarray):
+    """Yield ``submit(fn, *args, **kwargs)`` -> an object with ``.result()``:
+    it runs the work at once, or in order in one thread started for the call
+    where :func:`_reads_at_once` holds for ``x``, cancelling work queued at exit."""
+    if not _reads_at_once(x):
+        def submit(fn, *args, **kwargs):
+            done = fn(*args, **kwargs)
+            return types.SimpleNamespace(result=lambda: done)
+        yield submit
+        return
+    # imported here: at module level it raised study-small peak RSS by 3%
+    from concurrent.futures import ThreadPoolExecutor
+    worker = ThreadPoolExecutor(1)
+    try:
+        yield worker.submit
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
@@ -224,9 +247,8 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     once into a ring of ``max(lags) + 1`` window buffers, which holds its
     lag partners.  A 1-way series, which :func:`_pieces` cuts into runs,
     goes through the same loop a tensor at a time.  Each read has its own
-    ring.  Where :func:`_reads_at_once` says so the reads run at once, the
-    second in a thread started for this call, with the bits of reads in
-    turn; else they run in turn in the caller.
+    ring.  The reads run at once or in turn (:func:`_second_thread`), with
+    the same bits: they write distinct modes.
     """
     t_len, slots = x.shape[0], max(lags) + 1
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
@@ -261,14 +283,8 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
 
     # the caller allocates the rings: pages a worker allocates stay resident
     rings = [np.empty((slots, w)) for w in widths]
-    if not _reads_at_once(x):
-        for pass_, ring in zip(passes, rings):
-            read(*pass_, ring)
-        return out
-    # imported here: at module level it raised study-small peak RSS by 3%
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) as worker:
-        second = worker.submit(read, *passes[1], rings[1])
+    with _second_thread(x) as submit:
+        second = submit(read, *passes[1], rings[1])
         read(*passes[0], rings[0])
         second.result()
     return out

@@ -49,6 +49,12 @@ def rng():
     return np.random.default_rng(20240813)
 
 
+# the BLAS thread counts of the peak tests: the default, and one thread,
+# at which series of large tensors take the two-thread passes on two cores
+# (tensor._reads_at_once)
+BLAS_ENVS = pytest.mark.parametrize(
+    "blas_env", [{}, {"OPENBLAS_NUM_THREADS": "1"}], ids=["default-blas", "one-blas-thread"])
+
 needs_vmhwm = pytest.mark.skipif(
     not os.path.exists("/proc/self/status"),
     reason="needs the Linux per-process peak RSS (VmHWM)")
@@ -60,16 +66,16 @@ def peak_kib():
 """
 
 
-def run_peak_script(script, *args) -> str:
+def run_peak_script(script, *args, env=None) -> str:
     """Run ``script`` in a fresh interpreter and return its stdout.
 
     The script sees ``peak_kib()``, the process's peak RSS in KiB so far,
     and imports tuckerfactor from this checkout.  A fresh process is used
     because ``ru_maxrss`` also carries the peak of the process that
-    started it.
+    started it.  ``env`` adds to or overrides this process's environment.
     """
     src = str(Path(tuckerfactor.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _PEAK_PRELUDE + script, *map(str, args)],
                           env=env, capture_output=True, text=True, check=True)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import needs_vmhwm, run_peak_script
+from conftest import BLAS_ENVS, needs_vmhwm, run_peak_script
 from tuckerfactor import (
     EstimatorConfig,
     ExperimentConfig,
@@ -209,13 +209,15 @@ print((peak_kib() - before) * 1024 / (32 * 64 * 64 * 32 * 8))
 
 
 @needs_vmhwm
+@BLAS_ENVS
 @pytest.mark.parametrize("methods", ["mopca", "mopca,pmopca"])
-def test_replication_peak(tmp_path, methods):
+def test_replication_peak(tmp_path, methods, blas_env):
     # peak RSS growth of a fresh process running one replication on a 32 MiB
     # simulated series: the series plus chunk-sized temporaries; a whole
     # fitted or true signal array, or any other full-size copy, adds one
     # more series
-    growth = float(run_peak_script(_REPLICATION_PEAK_SCRIPT, tmp_path, methods))
+    growth = float(run_peak_script(_REPLICATION_PEAK_SCRIPT, tmp_path, methods,
+                                   env=blas_env))
     assert growth <= 1.5
 
 

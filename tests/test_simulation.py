@@ -1,9 +1,12 @@
 """Statistical and determinism checks for the data generator."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import needs_vmhwm, run_peak_script
+from conftest import BLAS_ENVS, needs_vmhwm, run_peak_script
 from tuckerfactor import (
     SimConfig,
     generate_loadings,
@@ -15,6 +18,7 @@ from tuckerfactor import (
     simulate_core_path,
     simulate_dataset,
     simulate_noise_path,
+    simulation,
     tensor,
     vectorize,
 )
@@ -217,12 +221,16 @@ class TestChunkedAssembly:
         ("IV", (11, 4, 3)), ("II", (7, 5)), ("II", (9,)),
     ])
     @pytest.mark.parametrize("per_chunk", [1, 3, None, 1 / 2, 1 / 3])
-    def test_matches_whole_array_reference(self, monkeypatch, name, dims, per_chunk):
+    @pytest.mark.parametrize("at_once", [True, False])
+    def test_matches_whole_array_reference(self, monkeypatch, name, dims, per_chunk,
+                                           at_once):
         # chunks of 1 or 3 whole tensors make T=11 span several chunks with
         # a ragged last one; None keeps the default budget (one chunk); a
         # half or a third of a tensor cuts every tensor into windows, the
         # last one ragged (of 2 slabs for the 11 rows of (11, 4, 3)); a
-        # 1-way series takes runs of two tensors at any of these budgets
+        # 1-way series takes runs of two tensors at any of these budgets;
+        # at_once draws the runs in a second thread, else in the caller
+        monkeypatch.setattr(tensor, "_reads_at_once", lambda x: at_once)
         if per_chunk is not None:
             monkeypatch.setattr(tensor, "_CHUNK_ELEMS",
                                 int(per_chunk * int(np.prod(dims))))
@@ -241,6 +249,95 @@ class TestChunkedAssembly:
         assert signals.shape == series.shape
 
 
+class RecordingRng:
+    """A generator whose noise draws (``standard_normal`` into ``out``)
+    record their thread; ``on_draw(n)`` runs before the n-th of them."""
+
+    def __init__(self, rng, on_draw=lambda n: None):
+        self.rng, self.on_draw, self.threads = rng, on_draw, []
+
+    def standard_normal(self, *args, **kwargs):
+        if "out" in kwargs:
+            self.threads.append(threading.get_ident())
+            self.on_draw(len(self.threads))
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestDrawsInASecondThread:
+    """Where ``tensor._reads_at_once`` says so, ``simulate_noise_path``
+    draws its runs in one worker thread while the caller colours them."""
+
+    def test_worker_draws_and_caller_colours(self, monkeypatch):
+        dims = (6, 5, 4)
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", int(np.prod(dims)) // 3)
+        monkeypatch.setattr(tensor, "_reads_at_once", lambda x: True)
+        coloured, product = set(), simulation.mode_product
+
+        def recorded(*args):
+            coloured.add(threading.get_ident())
+            return product(*args)
+
+        monkeypatch.setattr(simulation, "mode_product", recorded)
+        rng = RecordingRng(replication_rng(3, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a race shows
+        try:
+            got = simulate_noise_path(9, dims, 0.8, rng)
+        finally:
+            sys.setswitchinterval(interval)
+        caller = threading.get_ident()
+        assert coloured == {caller}
+        # the pre-sample state and one draw per tensor, all in one worker
+        assert len(rng.threads) == 10 and len(set(rng.threads) - {caller}) == 1
+        monkeypatch.setattr(tensor, "_reads_at_once", lambda x: False)
+        want = simulate_noise_path(9, dims, 0.8, replication_rng(3, 1))
+        assert got.tobytes() == want.tobytes()
+
+    def test_colouring_error_cancels_the_queued_draws(self, monkeypatch):
+        class ColourError(Exception):
+            pass
+
+        monkeypatch.setattr(tensor, "_reads_at_once", lambda x: True)
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 4 * 3 * 2)  # runs of one tensor
+        coloured = threading.Event()
+
+        def failing(*args):
+            coloured.set()
+            raise ColourError("in the caller's colouring")
+
+        def on_draw(n):
+            if n == 2:  # hold the worker until the caller has failed
+                assert coloured.wait(timeout=10)
+
+        monkeypatch.setattr(simulation, "mode_product", failing)
+        rng = RecordingRng(replication_rng(3, 1), on_draw)
+        before = threading.active_count()
+        with pytest.raises(ColourError):
+            simulate_noise_path(12, (4, 3, 2), 0.8, rng)
+        assert threading.active_count() == before
+        assert len(rng.threads) < 13  # not every draw was made
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        def on_draw(n):
+            if n == 3:
+                raise DrawError("in the worker's draw")
+
+        monkeypatch.setattr(tensor, "_reads_at_once", lambda x: True)
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 4 * 3 * 5)  # runs of one tensor
+        monkeypatch.setattr(simulation, "replication_rng",
+                            lambda *args: RecordingRng(replication_rng(*args), on_draw))
+        before = threading.active_count()
+        with pytest.raises(DrawError):
+            simulate_dataset(scenario_config("IV", T=6, dims=(4, 3, 5), seed=1))
+        assert threading.active_count() == before
+
+
 _SIMULATE_PEAK_SCRIPT = """
 from tuckerfactor import scenario_config, simulate_dataset
 
@@ -252,11 +349,12 @@ print((peak_kib() - before) * 1024 / series.nbytes)
 
 
 @needs_vmhwm
-def test_simulate_holds_the_series_once():
+@BLAS_ENVS
+def test_simulate_holds_the_series_once(blas_env):
     # peak RSS growth of a fresh process simulating a 32 MiB series; a
     # simulator holding a second full-size array (innovations plus their
     # coloured copy, or series plus signals) grows by about twice that
-    assert float(run_peak_script(_SIMULATE_PEAK_SCRIPT)) < 1.5
+    assert float(run_peak_script(_SIMULATE_PEAK_SCRIPT, env=blas_env)) < 1.5
 
 
 _SIMULATE_LARGE_TENSOR_PEAK_SCRIPT = """
@@ -270,8 +368,9 @@ print((peak_kib() - before) * 1024 / series.nbytes)
 
 
 @needs_vmhwm
-def test_simulate_holds_a_few_windows_of_a_large_tensor():
+@BLAS_ENVS
+def test_simulate_holds_a_few_windows_of_a_large_tensor(blas_env):
     # four 16 MiB tensors, each 8 times the piece budget: besides the
     # 64 MiB series only the pre-sample state (a quarter of it) and a few
     # windows; whole-tensor temporaries would add about three tensors
-    assert float(run_peak_script(_SIMULATE_LARGE_TENSOR_PEAK_SCRIPT)) <= 1.4
+    assert float(run_peak_script(_SIMULATE_LARGE_TENSOR_PEAK_SCRIPT, env=blas_env)) <= 1.4

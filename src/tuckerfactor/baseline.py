@@ -21,6 +21,7 @@ from .estimation import (
     SeriesMoments,
     _as_series,
     _fit,
+    _integer,
     _series_matrix,
     _start,
 )
@@ -39,7 +40,7 @@ def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:
 
 def _lags(x, h0):
     """The lags ``1..h0``, checked against the length of the series ``x``."""
-    if not 1 <= h0 < x.shape[0]:
+    if not 1 <= _integer(h0, "h0") < x.shape[0]:
         raise ValueError(f"h0={h0} requires at least {h0 + 1} observations")
     return tuple(range(1, h0 + 1))
 

@@ -122,14 +122,38 @@ def _as_series(x) -> np.ndarray:
     return x
 
 
-def _check_ranks(ranks, dims) -> tuple[int, ...]:
-    ranks = tuple(int(k) for k in ranks)
-    if len(ranks) != len(dims):
-        raise ValueError(f"got {len(ranks)} ranks for {len(dims)} modes")
-    for k, p in zip(ranks, dims):
-        if not 1 <= k <= p:
-            raise ValueError(f"rank {k} out of range for mode of size {p}")
-    return ranks
+def _integer(value, name) -> int:
+    """``value`` as an int, if it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} takes integers only, got {value!r}")
+    return int(value)
+
+
+def _checked(dims, ranks, k_max, tol=DEFAULT_TOL, max_iter=None):
+    """A fit's ``ranks`` (a tuple of ints or "auto") and ``k_max`` (its
+    default under "auto"), checked with ``tol`` and ``max_iter`` (None: no
+    sweeps): the one gate of a fit's arguments, ahead of any pass."""
+    if isinstance(ranks, str):
+        if ranks != "auto":
+            raise ValueError(f"ranks must be a tuple or 'auto', got {ranks!r}")
+        if min(dims) < 2:
+            raise ValueError(f"ranks='auto' needs two eigenvalues per mode, but "
+                             f"mode {dims.index(1)} of dims {dims} has size 1")
+        k_max = min(8, min(dims) - 1) if k_max is None else _integer(k_max, "k_max")
+        if k_max < 1 or any(k_max > p - 1 for p in dims):
+            raise ValueError(f"k_max={k_max} out of range for dims {dims}")
+    else:
+        ranks = tuple(_integer(k, "ranks") for k in ranks)
+        if len(ranks) != len(dims):
+            raise ValueError(f"got {len(ranks)} ranks for {len(dims)} modes")
+        for k, p in zip(ranks, dims):
+            if not 1 <= k <= p:
+                raise ValueError(f"rank {k} out of range for mode of size {p}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter is not None and _integer(max_iter, "max_iter") < 1:
+        raise ValueError("max_iter must be at least 1")
+    return ranks, k_max
 
 
 def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
@@ -292,6 +316,8 @@ def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     Returns a 1-based rank.
     """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"values has non-finite entries: {values}")
     if not 1 <= k_max <= values.size - 1:
         raise ValueError(f"k_max={k_max} out of range for {values.size} eigenvalues")
     if values[0] <= 0:
@@ -336,7 +362,7 @@ class SeriesMoments:
 
 def series_moments(x, lags=(0,), center: bool = True) -> SeriesMoments:
     """The temporal mean (with ``center``) and every mode's Gram matrix of
-    the centred series at each of ``lags`` (>= 0), in one pass.
+    the centred series at each of ``lags`` (integers 0..T-1), in one pass.
 
     Pass it as ``moments=`` to the fits of ``x`` with the same ``center``:
     lag 0 serves the PCA fits and :func:`estimate_ranks`, lags ``1..h0``
@@ -344,9 +370,9 @@ def series_moments(x, lags=(0,), center: bool = True) -> SeriesMoments:
     moments are of the same series is the caller's promise.
     """
     x = _as_series(x)
-    lags = tuple(sorted({int(h) for h in lags}))
-    if lags and lags[0] < 0:
-        raise ValueError(f"lags must be nonnegative, got {lags}")
+    lags = tuple(sorted({_integer(h, "lags") for h in lags}))
+    if lags and not 0 <= lags[0] <= lags[-1] < x.shape[0]:
+        raise ValueError(f"lags {lags} must be nonnegative and below T={x.shape[0]}")
     mean = x.mean(axis=0) if center else None
     grams = dict(zip(lags, map(tuple, _mode_grams(x, mean, lags)))) if lags else {}
     _check_finite(g for gs in grams.values() for g in gs)
@@ -380,7 +406,7 @@ def estimate_ranks(
     Ratios are formed from the mode covariance spectra (those of
     ``moments``, lag 0, when given), or from the projected covariance
     spectra when ``loadings`` is supplied, which are checked as the fits
-    check ``init`` before any pass.
+    check ``init``.  ``k_max`` and ``loadings`` are checked before any pass.
     """
     x = _as_series(x)
     if loadings is None:
@@ -388,53 +414,38 @@ def estimate_ranks(
     else:
         # the spectra of one sweep through the frozen ``loadings``
         loadings = _check_init(loadings, x.shape[1:], "loadings")
-        fitted, _ = _loadings_from_spectra(
-            x.shape[1:], "auto", k_max, lambda: iterate_projected_fit(
-                x, [a.shape[1] for a in loadings], loadings, (0,), center,
-                max_iter=1, update_within_sweep=False)[1])
+        k_max = _checked(x.shape[1:], "auto", k_max)[1]
+        fitted, _ = _loadings_from_spectra("auto", k_max, iterate_projected_fit(
+            x, [a.shape[1] for a in loadings], loadings, (0,), center,
+            max_iter=1, update_within_sweep=False)[1])
     return tuple(a.shape[1] for a in fitted)
 
 
-def _start(x, lags, ranks, k_max, center, moments):
-    """``(moments, loadings, spectra)`` of a series: ``moments`` checked for
-    ``lags`` (or the series' own), and every mode's start loadings and raw
-    spectrum from its cached eigensystem at ``lags``."""
-    if lags[-1] >= x.shape[0]:
-        raise ValueError(f"h0={lags[-1]} requires at least {lags[-1] + 1} observations")
+def _start(x, lags, ranks, k_max, center, moments, tol=DEFAULT_TOL, max_iter=None):
+    """``(moments, loadings, spectra)`` of a series, after :func:`_checked`:
+    ``moments`` checked for ``lags`` (or the series' own), and every mode's
+    start loadings and raw spectrum from its cached eigensystem at ``lags``."""
+    ranks, k_max = _checked(x.shape[1:], ranks, k_max, tol, max_iter)
     moments = _moments_for(x, moments, center, lags)
-    return (moments, *_loadings_from_spectra(x.shape[1:], ranks, k_max,
-                                             lambda: moments.eigensystems(lags)))
+    return (moments, *_loadings_from_spectra(ranks, k_max, moments.eigensystems(lags)))
 
 
-def _loadings_from_spectra(dims, ranks, k_max, systems_fn):
-    """Loadings and raw spectra from one full eigensystem per mode.
+def _loadings_from_spectra(ranks, k_max, systems):
+    """Loadings and raw spectra from ``systems``, one full eigensystem per
+    mode, for ``ranks`` and ``k_max`` already checked by :func:`_checked`.
 
-    ``systems_fn()`` returns every mode's eigensystem; it is called once,
-    after ``ranks`` and ``k_max`` are checked.  With ``ranks="auto"`` each
-    rank comes from the ratio rule on the spectrum that yields the
-    loadings.  A mode whose top eigenvalue is not positive (a constant or
-    single-observation centred series) has no factor directions, so it
-    raises whatever the ranks.  Spectra are raw: the ratio rule floors
-    rounding-level negatives.
+    With ``ranks="auto"`` each rank comes from the ratio rule on the
+    spectrum that yields the loadings.  A mode whose top eigenvalue is not
+    positive (a constant or single-observation centred series) has no
+    factor directions, so it raises whatever the ranks.  Spectra are raw:
+    the ratio rule floors rounding-level negatives.
     """
-    auto = isinstance(ranks, str)
-    if auto:
-        if ranks != "auto":
-            raise ValueError(f"ranks must be a tuple or 'auto', got {ranks!r}")
-        if min(dims) < 2:
-            raise ValueError(f"ranks='auto' needs two eigenvalues per mode, but "
-                             f"mode {dims.index(1)} of dims {dims} has size 1")
-        if k_max is None:
-            k_max = min(8, min(dims) - 1)
-        if k_max < 1 or any(k_max > p - 1 for p in dims):
-            raise ValueError(f"k_max={k_max} out of range for dims {dims}")
-    else:
-        ranks = _check_ranks(ranks, dims)
     loadings, spectra = [], []
-    for d, (p_d, es) in enumerate(zip(dims, systems_fn())):
+    for d, es in enumerate(systems):
         spectra.append(_nondegenerate(d, es).values)
-        k_d = select_rank_from_eigenvalues(es.values, k_max) if auto else ranks[d]
-        loadings.append(np.sqrt(p_d) * es.vectors[:, :k_d])
+        k_d = (select_rank_from_eigenvalues(es.values, k_max) if ranks == "auto"
+               else ranks[d])
+        loadings.append(np.sqrt(len(es.values)) * es.vectors[:, :k_d])
     return loadings, spectra
 
 
@@ -468,17 +479,19 @@ def _fit(x, lags, ranks, k_max, center, moments, init=None, max_iter=None,
          tol=DEFAULT_TOL, update_within_sweep=True) -> FactorFit:
     """The estimator driver that every public fit calls: from ``init``, or
     else the cached start spectra at ``lags``, it runs no sweeps (``max_iter``
-    None) or up to ``max_iter`` sweeps on the stacks' matrices at ``lags``.
-    """
+    None) or up to ``max_iter`` sweeps on the stacks' matrices at ``lags``,
+    once its arguments pass :func:`_checked` and ``init`` :func:`_check_init`."""
     x = _as_series(x)
     init = _check_init(init, x.shape[1:])
     if init is None:
-        moments, init, spectra = _start(x, lags, ranks, k_max, center, moments)
-    else:
+        moments, init, spectra = _start(x, lags, ranks, k_max, center, moments,
+                                        tol, max_iter)
+        ranks = [a.shape[1] for a in init]  # the start fixes the ranks under "auto"
+    else:  # "auto" takes the ranks of ``init`` and ignores ``k_max``
+        auto = isinstance(ranks, str) and ranks == "auto"
+        ranks = _checked(x.shape[1:], [a.shape[1] for a in init] if auto else ranks,
+                         k_max, tol, max_iter)[0]
         moments = _moments_for(x, moments, center, ())
-    # the start fixes the ranks under "auto"
-    ranks = (tuple(a.shape[1] for a in init) if isinstance(ranks, str)
-             else _check_ranks(ranks, x.shape[1:]))
     loadings, sweeps, converged, history, factors = init, 0, True, [], None
     if max_iter is not None:
         loadings, systems, sweeps, converged, history, factors = iterate_projected_fit(
@@ -559,9 +572,9 @@ def iterate_projected_fit(
     :func:`_projected_covariance` at ``lags`` are the new loadings.  With
     ``update_within_sweep`` mode d's stack takes this sweep's new loadings
     of the lower modes, else the sweep's start loadings.  Sweeps stop once
-    the largest per-mode projector distance across a sweep is at most
-    ``tol``, or after ``max_iter``; it is taken from the loadings'
-    orthonormal eigenvectors, with a QR for ``init``.
+    the largest per-mode projector distance across a sweep (of orthonormal
+    bases, a QR of ``init``) is at most ``tol``, or after ``max_iter``:
+    unchecked here, a fit's :func:`_checked` checks them (or constants).
 
     A sweep walks one prefix chain, ``P_0 = X`` and ``P_{d+1} = P_d x_d
     A_d'``: mode d's stack contracts the higher modes of ``P_d``, the
@@ -572,10 +585,6 @@ def iterate_projected_fit(
     are None.  Returns ``(loadings, systems, sweeps, converged, history,
     factors)``, ``systems[d]`` being mode d's last full eigensystem.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     dims, p = x.shape[1:], x.size // x.shape[0]
     current = [np.asarray(a, dtype=float) for a in init]
     bases = [np.linalg.qr(a)[0] for a in current]  # init need not be orthonormal

@@ -165,7 +165,7 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
               lags=()) -> tuple[EvalReport, object]:
     """Fit and score one method.  ``shared`` maps a ``center`` flag to the
     replication's moments; the first method to need one builds it at
-    ``lags`` inside its timer, so the reports' seconds sum to all the
+    ``lags`` below T inside its timer, so the reports' seconds sum to all the
     fitting; ``shared["truth"]`` keeps the last run of true signals for the
     next method.  Without ``shared`` the fit builds its own moments."""
     start = time.perf_counter()
@@ -174,7 +174,8 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
         if shared is None:
             shared, lags = {}, spec.lags(cfg)
         if cfg.center not in shared:
-            shared[cfg.center] = series_moments(series, lags, cfg.center)
+            shared[cfg.center] = series_moments(
+                series, [h for h in lags if h < len(series)], cfg.center)
         moments = shared[cfg.center]
         fit = spec.fit(series, cfg, moments)
         seconds = time.perf_counter() - start

@@ -12,8 +12,8 @@ def column_space_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
 
     Lies in [0, 1]: 0 for identical column spaces, 1 for orthogonal
     subspaces of equal dimension; invariant under right-multiplication of
-    either argument by an invertible matrix.  Raises on rank-deficient
-    input.
+    either argument by an invertible matrix.  Raises on non-finite or
+    rank-deficient input.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     a_true = np.asarray(a_true, dtype=float)
@@ -21,7 +21,9 @@ def column_space_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
         raise ValueError("column_space_distance expects matrices")
     if a_hat.shape[0] != a_true.shape[0]:
         raise ValueError("row counts differ")
-    for m in (a_hat, a_true):
+    for name, m in (("a_hat", a_hat), ("a_true", a_true)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"column_space_distance: {name} has non-finite entries")
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[0] == 0 or sv[-1] <= 1e-10 * sv[0]:
             raise ValueError("column_space_distance: rank-deficient input")

@@ -38,7 +38,7 @@ from tuckerfactor import (
     varimax,
 )
 from tuckerfactor import estimation, tensor
-from tuckerfactor.baseline import itipup_fit, tipup_mode_matrix
+from tuckerfactor.baseline import estimate_ranks_tipup, itipup_fit, tipup_mode_matrix
 from tuckerfactor.estimation import _varimax_criterion
 
 
@@ -415,6 +415,97 @@ class TestInitChecked:
         assert fit.ranks == (2, 2, 2)
 
 
+GATE_DIMS = (6, 5, 4)
+GATE_INIT = [np.linalg.qr(np.random.default_rng(p).standard_normal((p, 2)))[0]
+             for p in GATE_DIMS]
+# entry points by the arguments they take: explicit ranks, k_max under
+# "auto" without init (init fixes the ranks and ignores k_max), tol/max_iter
+WITH_RANKS = {
+    "mopca": mopca_fit, "pmopca": pmopca_fit,
+    "pmopca-init": lambda x, **kw: pmopca_fit(x, init=GATE_INIT, **kw),
+    "ipmopca": ipmopca_fit,
+    "ipmopca-init": lambda x, **kw: ipmopca_fit(x, init=GATE_INIT, **kw),
+    "itipup": itipup_fit,
+}
+WITH_KMAX = {
+    "mopca": mopca_fit, "pmopca": pmopca_fit, "ipmopca": ipmopca_fit,
+    "itipup": itipup_fit, "estimate_ranks": estimate_ranks,
+    "estimate_ranks-loadings": lambda x, **kw: estimate_ranks(
+        x, loadings=GATE_INIT, **kw),
+    "estimate_ranks_tipup": estimate_ranks_tipup,
+}
+WITH_SWEEPS = {name: WITH_RANKS[name] for name in ("ipmopca", "ipmopca-init", "itipup")}
+GATE_CASES = [
+    pytest.param(fit_fn, kwargs, message, id=f"{name}-{case}")
+    for entries, cases in [
+        (WITH_RANKS, [
+            ("rank0", {"ranks": (0, 1, 1)}, "rank 0 out of range for mode of size 6"),
+            ("rank-above-p", {"ranks": (1, 6, 1)},
+             "rank 6 out of range for mode of size 5"),
+            ("two-ranks", {"ranks": (1, 1)}, "got 2 ranks for 3 modes"),
+            ("bogus", {"ranks": "bogus"},
+             "ranks must be a tuple or 'auto', got 'bogus'"),
+        ]),
+        (WITH_KMAX, [
+            ("kmax0", {"k_max": 0}, "k_max=0 out of range for dims \\(6, 5, 4\\)"),
+            ("kmax-min-p", {"k_max": 4},
+             "k_max=4 out of range for dims \\(6, 5, 4\\)"),
+        ]),
+        (WITH_SWEEPS, [
+            ("tol0", {"tol": 0.0}, "tol must be positive, got 0.0"),
+            ("tol-nan", {"tol": np.nan}, "tol must be positive, got nan"),
+            ("max-iter0", {"max_iter": 0}, "max_iter must be at least 1"),
+        ]),
+    ]
+    for name, fit_fn in entries.items()
+    for case, kwargs, message in cases
+]
+
+
+@pytest.fixture
+def no_read(monkeypatch):
+    """Make every read of the series fail: the moment pass and the
+    projections of the sweeps and the factors."""
+    def read(*args, **kwargs):
+        raise AssertionError("the series was read before the arguments were checked")
+    for module, name in [(estimation, "series_moments"), (estimation, "_mode_grams"),
+                         (tensor, "_mode_grams"), (estimation, "_project")]:
+        monkeypatch.setattr(module, name, read)
+
+
+class TestArgumentGate:
+    """A bad rank, ``k_max``, ``tol`` or ``max_iter`` fails, with the
+    message of its check, before anything reads the series."""
+
+    @pytest.mark.parametrize("fit_fn, kwargs, message", GATE_CASES)
+    def test_checked_before_any_read(self, no_read, rng, fit_fn, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_fn(rng.standard_normal((8,) + GATE_DIMS), **kwargs)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: mopca_fit(x, (1.7, 1, 1)), "ranks"),
+        (lambda x: pmopca_fit(x, (2, 2.0, 2), init=GATE_INIT), "ranks"),
+        (lambda x: mopca_fit(x, k_max=2.5), "k_max"),
+        (lambda x: estimate_ranks(x, k_max=2.5, loadings=GATE_INIT), "k_max"),
+        (lambda x: itipup_fit(x, h0=1.5), "h0"),
+        (lambda x: estimate_ranks_tipup(x, h0=1.5), "h0"),
+        (lambda x: ipmopca_fit(x, max_iter=2.5), "max_iter"),
+        (lambda x: series_moments(x, (0, 1.5)), "lags"),
+    ], ids=["ranks", "ranks-init", "k_max", "k_max-loadings", "h0", "h0-selector",
+            "max_iter", "lags"])
+    def test_non_integers_rejected(self, no_read, rng, call, name):
+        with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+            call(rng.standard_normal((8,) + GATE_DIMS))
+
+    def test_numpy_integers_accepted(self, rng):
+        x = rng.standard_normal((8,) + GATE_DIMS)
+        i = np.int64
+        assert mopca_fit(x, (i(2), i(2), i(1))).ranks == (2, 2, 1)
+        assert (itipup_fit(x, "auto", h0=i(2), max_iter=np.int32(3), k_max=i(2)).ranks
+                == itipup_fit(x, "auto", h0=2, max_iter=3, k_max=2).ranks)
+        assert series_moments(x, (i(0), i(1))).lags == (0, 1)
+
+
 FITS_AND_SELECTOR = [mopca_fit, pmopca_fit, ipmopca_fit, itipup_fit, estimate_ranks]
 
 
@@ -523,6 +614,10 @@ class TestEstimateRanks:
     def test_tie_breaks_to_smallest_index(self):
         values = np.array([8.0, 4.0, 2.0, 1.0])  # all ratios equal 2
         assert select_rank_from_eigenvalues(values, 3) == 1
+
+    def test_non_finite_eigenvalues_rejected(self):
+        with pytest.raises(ValueError, match="values has non-finite entries"):
+            select_rank_from_eigenvalues([np.nan, 1.0, 0.5], 1)
 
 
 class TestVarimax:

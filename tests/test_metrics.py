@@ -61,6 +61,13 @@ class TestColumnSpaceDistance:
         with pytest.raises(ValueError):
             column_space_distance(np.hstack([col, col]), rng.standard_normal((5, 2)))
 
+    @pytest.mark.parametrize("bad", ["a_hat", "a_true"])
+    def test_non_finite_rejected(self, rng, bad):
+        mats = {"a_hat": rng.standard_normal((5, 2)), "a_true": rng.standard_normal((5, 2))}
+        mats[bad][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{bad} has non-finite entries"):
+            column_space_distance(**mats)
+
 
 class TestSignalRmse:
     def test_identical(self, rng):

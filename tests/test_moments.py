@@ -182,6 +182,13 @@ class TestMismatchedMoments:
         with pytest.raises(ValueError, match="nonnegative"):
             series_moments(x, (-1, 0))
 
+    def test_lag_of_the_series_length_rejected_before_the_pass(self, x, monkeypatch):
+        def read(*args):
+            raise AssertionError("the moment pass ran")
+        monkeypatch.setattr(estimation, "_mode_grams", read)
+        with pytest.raises(ValueError, match=f"below T={len(x)}"):
+            series_moments(x, (0, len(x)))
+
 
 class TestSeriesMoments:
     def test_contents(self, rng):

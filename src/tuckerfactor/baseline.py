@@ -21,10 +21,10 @@ from .estimation import (
     SeriesMoments,
     _as_series,
     _fit,
-    _integer,
     _series_matrix,
     _start,
 )
+from .tensor import _integer
 
 
 def tipup_mode_matrix(x: np.ndarray, mode: int, h0: int = 1) -> np.ndarray:

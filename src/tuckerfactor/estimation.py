@@ -48,6 +48,7 @@ mean, at any tensor size.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,7 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import EigenSystem, _eigensystem, _sine
-from .tensor import _mode_gram, _mode_grams, _pieces, mode_product, multi_mode_product
+from .tensor import (_integer, _mode_gram, _mode_grams, _pieces, mode_product,
+                     multi_mode_product)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -122,13 +124,6 @@ def _as_series(x) -> np.ndarray:
     return x
 
 
-def _integer(value, name) -> int:
-    """``value`` as an int, if it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} takes integers only, got {value!r}")
-    return int(value)
-
-
 def _checked(dims, ranks, k_max, tol=DEFAULT_TOL, max_iter=None):
     """A fit's ``ranks`` (a tuple of ints or "auto") and ``k_max`` (its
     default under "auto"), checked with ``tol`` and ``max_iter`` (None: no
@@ -149,11 +144,16 @@ def _checked(dims, ranks, k_max, tol=DEFAULT_TOL, max_iter=None):
         for k, p in zip(ranks, dims):
             if not 1 <= k <= p:
                 raise ValueError(f"rank {k} out of range for mode of size {p}")
+    _check_sweeps(tol, max_iter)
+    return ranks, k_max
+
+
+def _check_sweeps(tol, max_iter):
+    """A fit's ``tol`` (positive) and ``max_iter`` (an int >= 1, or None: no sweeps)."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter is not None and _integer(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be at least 1")
-    return ranks, k_max
 
 
 def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
@@ -168,7 +168,7 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
 def _series_matrix(x, mode, lags):
     """Mode ``mode``'s :func:`_mode_matrix` of the series ``x`` at ``lags``,
     over ``p``: the path of the layer functions."""
-    if not 0 <= mode < x.ndim - 1:
+    if not 0 <= _integer(mode, "mode") < x.ndim - 1:
         raise ValueError(f"mode {mode} out of range for {x.ndim - 1}-way data")
     return _projected_covariance(x, lags, mode + 1, x.size // x.shape[0])
 
@@ -187,7 +187,7 @@ def projected_series(x: np.ndarray, loadings, mode: int,
     """
     x = _as_series(x)
     d_count = x.ndim - 1
-    if not 0 <= mode < d_count:
+    if not 0 <= _integer(mode, "mode") < d_count:
         raise ValueError(f"mode {mode} out of range for {d_count}-way data")
     loadings = list(loadings)
     if len(loadings) != d_count:
@@ -318,7 +318,7 @@ def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError(f"values has non-finite entries: {values}")
-    if not 1 <= k_max <= values.size - 1:
+    if not 1 <= _integer(k_max, "k_max") <= values.size - 1:
         raise ValueError(f"k_max={k_max} out of range for {values.size} eigenvalues")
     if values[0] <= 0:
         raise ValueError("degenerate spectrum: top eigenvalue is zero")
@@ -499,6 +499,11 @@ def _fit(x, lags, ranks, k_max, center, moments, init=None, max_iter=None,
         spectra = [es.values for es in systems]
     if factors is None:
         factors = extract_factors(x, loadings, center)
+    for d, (v, a) in enumerate(zip(spectra, loadings)):
+        if (ratio := v[a.shape[1] - 1] / v[0]) <= len(v) * np.finfo(float).eps:
+            logging.getLogger(__name__).warning(
+                "mode %d: rank %d is past its numerical rank (eigenvalue ratio %.3g "
+                "to the top, at most p_d * eps)", d, a.shape[1], ratio)
     return FactorFit(loadings, factors, [np.maximum(v, 0.0) for v in spectra],
                      sweeps, converged, history, moments.mean)
 
@@ -652,7 +657,7 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     improving.  Returns ``(rotated, q)`` with ``rotated = a @ q`` and
     ``q`` orthogonal; the column space is unchanged.
     """
-    a = np.asarray(a, dtype=float)
+    max_sweeps, a = _integer(max_sweeps, "max_sweeps"), np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] < 1:
         raise ValueError("varimax expects a matrix with at least one column")
     if not np.all(np.isfinite(a)):

@@ -34,6 +34,8 @@ from .baseline import itipup_fit
 from .estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _check_sweeps,
+    _checked,
     _signal_pieces,
     _start,
     ipmopca_fit,
@@ -51,6 +53,7 @@ from .metrics import (
     rank_accuracy,
 )
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
+from .tensor import _integer
 
 logger = logging.getLogger(__name__)
 
@@ -108,13 +111,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.k_max is not None and self.k_max < 1:
+        if self.k_max is not None and _integer(self.k_max, "k_max") < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.lags < 1:
+        _check_sweeps(self.tol, _integer(self.max_iter, "max_iter"))
+        if _integer(self.lags, "lags") < 1:
             raise ValueError("lags must be at least 1")
 
 
@@ -152,7 +152,7 @@ class ExperimentConfig:
         if unknown := [m for m in self.methods if m not in METHODS]:
             raise ValueError(f"unknown method {unknown[0]!r} "
                              f"(choose from {', '.join(METHODS)})")
-        if self.replications < 1:
+        if _integer(self.replications, "replications") < 1:
             raise ValueError("replications must be at least 1")
         if (self.sim is None) == (self.input_path is None):
             raise ValueError("exactly one of sim / input_path must be set")
@@ -170,6 +170,7 @@ def _evaluate(method, rep, series, truth, cfg, shared=None,
     next method.  Without ``shared`` the fit builds its own moments."""
     start = time.perf_counter()
     try:
+        _checked(series.shape[1:], "auto", cfg.k_max)  # the rank selection's gate
         spec = METHODS[method]
         if shared is None:
             shared, lags = {}, spec.lags(cfg)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .estimation import reconstruct_signals
 from .spectral import thin_left_singular
-from .tensor import _pieces, _second_thread, mode_product
+from .tensor import _integer, _pieces, _second_thread, mode_product
 
 # (phi, psi) per scenario: factor / noise AR(1) coefficients
 SCENARIOS = {
@@ -46,7 +46,8 @@ DEFAULT_RANKS = (2, 3, 4)
 
 @dataclass
 class SimConfig:
-    """Parameters of one simulated dataset (or a family of replications)."""
+    """Parameters of one simulated dataset (or a family of replications);
+    ``T``, ``seed`` and the entries of ``dims`` and ``ranks`` take integers only."""
 
     T: int
     dims: tuple[int, ...]
@@ -56,8 +57,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.dims = tuple(int(p) for p in self.dims)
-        self.ranks = tuple(int(k) for k in self.ranks)
+        self.T, self.seed = _integer(self.T, "T"), _integer(self.seed, "seed")
+        self.dims = tuple(_integer(p, "dims") for p in self.dims)
+        self.ranks = tuple(_integer(k, "ranks") for k in self.ranks)
         if self.T < 1:
             raise ValueError("T must be at least 1")
         if len(self.ranks) != len(self.dims):
@@ -100,15 +102,14 @@ def scenario_config(name: str, T: int, dims, ranks=DEFAULT_RANKS,
 
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
     """Independent PCG64 stream for one replication."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication),))
-    )
+    return np.random.default_rng(np.random.SeedSequence(
+        _integer(seed, "seed"), spawn_key=(_integer(replication, "replication"),)))
 
 
 def generate_loadings(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Loading matrix: sqrt(p) times the first k left singular vectors of
     a standard-normal p-by-k draw, so ``A.T @ A = p * I`` by construction."""
-    if k > p:
+    if _integer(k, "k") > _integer(p, "p"):
         raise ValueError(f"cannot draw {k} factors for a mode of size {p}")
     g = rng.standard_normal((p, k))
     return np.sqrt(p) * thin_left_singular(g, k)
@@ -124,7 +125,7 @@ def simulate_core_path(T: int, ranks, phi: float,
     """
     if not abs(phi) < 1:
         raise ValueError("phi must lie in (-1, 1)")
-    ranks = tuple(int(k) for k in ranks)
+    T, ranks = _integer(T, "T"), tuple(_integer(k, "ranks") for k in ranks)
     scale = np.sqrt(1.0 - phi * phi)
     state = rng.standard_normal(ranks)
     out = np.empty((T,) + ranks)
@@ -153,7 +154,7 @@ def simulate_noise_path(T: int, dims, psi: float,
     """
     if not abs(psi) < 1:
         raise ValueError("psi must lie in (-1, 1)")
-    dims = tuple(int(p) for p in dims)
+    T, dims = _integer(T, "T"), tuple(_integer(p, "dims") for p in dims)
     chol = [_equicorrelation_cholesky(p) for p in dims]
     scale = np.sqrt(1.0 - psi * psi)
     state, out = np.empty((1,) + dims), np.empty((T,) + dims)
@@ -183,6 +184,15 @@ def simulate_noise_path(T: int, dims, psi: float,
     return out
 
 
+def _truth(config: SimConfig, replication: int):
+    """The truth of ``config``'s dataset ``replication`` (its loadings mode by
+    mode, then its core path), and the stream that goes on to draw its noise."""
+    rng = replication_rng(config.seed, replication)
+    loadings = [generate_loadings(p, k, rng) for p, k in zip(config.dims, config.ranks)]
+    cores = simulate_core_path(config.T, config.ranks, config.phi, rng)
+    return SimTruth(loadings, cores, config.phi, config.psi, config.seed, replication), rng
+
+
 def simulate_dataset(config: SimConfig, replication: int = 0):
     """One dataset draw: returns ``(series, truth)``.
 
@@ -190,39 +200,23 @@ def simulate_dataset(config: SimConfig, replication: int = 0):
     plus the noise path; ``truth`` carries the loadings, cores and signals
     used to build it.
     """
-    rng = replication_rng(config.seed, replication)
-    loadings = [generate_loadings(p, k, rng)
-                for p, k in zip(config.dims, config.ranks)]
-    cores = simulate_core_path(config.T, config.ranks, config.phi, rng)
+    truth, rng = _truth(config, replication)
     # the signals draw no random numbers, so forming them after the noise
     # keeps the draw order and lets the noise array become the series
     series = simulate_noise_path(config.T, config.dims, config.psi, rng)
     for s in _pieces(series.shape, 1):
         # a window along the first axis takes its rows of the mode-1 loadings
-        rows = [a[w] for a, w in zip(loadings, s[1:])] + loadings[len(s) - 1:]
-        series[s] += reconstruct_signals(cores[s[0]], rows)
-    truth = SimTruth(
-        loadings=loadings,
-        cores=cores,
-        phi=config.phi,
-        psi=config.psi,
-        seed=config.seed,
-        replication=replication,
-    )
+        rows = [a[w] for a, w in zip(truth.loadings, s[1:])] + truth.loadings[len(s) - 1:]
+        series[s] += reconstruct_signals(truth.cores[s[0]], rows)
     return series, truth
 
 
 def noiseless_dataset(T: int, dims, ranks, seed: int = 0, phi: float = 0.0):
     """Noise-free fixture: signal tensors only, with their truth.
 
-    Useful for exact-recovery checks; built from the same loading and
-    core-path generators as :func:`simulate_dataset`.  The returned series
-    is ``truth.signals`` itself, not a copy.
+    The arguments are checked as :class:`SimConfig`'s, and the truth is that of
+    ``simulate_dataset(SimConfig(T, dims, ranks, phi, seed=seed))``.  The returned
+    series is ``truth.signals`` itself, not a copy: useful for exact recovery.
     """
-    rng = replication_rng(seed, 0)
-    dims = tuple(int(p) for p in dims)
-    ranks = tuple(int(k) for k in ranks)
-    loadings = [generate_loadings(p, k, rng) for p, k in zip(dims, ranks)]
-    cores = simulate_core_path(T, ranks, phi, rng)
-    truth = SimTruth(loadings=loadings, cores=cores, phi=phi, psi=0.0, seed=seed)
+    truth = _truth(SimConfig(T, dims, ranks, phi, seed=seed), 0)[0]
     return truth.signals, truth

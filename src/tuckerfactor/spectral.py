@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _integer
+
 
 @dataclass
 class EigenSystem:
@@ -57,7 +59,7 @@ def top_k_eigensystem(s: np.ndarray, k: int) -> EigenSystem:
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix contains non-finite entries")
     n = s.shape[0]
-    if not 1 <= k <= n:
+    if not 1 <= _integer(k, "k") <= n:
         raise ValueError(f"k={k} out of range for a {n}x{n} matrix")
     es = _eigensystem((s + s.T) / 2.0)
     return EigenSystem(values=np.ascontiguousarray(es.values[:k]),
@@ -76,7 +78,7 @@ def thin_left_singular(m: np.ndarray, k: int) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("thin_left_singular expects a matrix")
-    if not 1 <= k <= min(m.shape):
+    if not 1 <= _integer(k, "k") <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
     u, _, _ = np.linalg.svd(m, full_matrices=False)
     return np.ascontiguousarray(_fix_signs(u[:, :k]))

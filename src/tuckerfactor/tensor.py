@@ -99,8 +99,16 @@ def _second_thread(x: np.ndarray):
         worker.shutdown(cancel_futures=True)
 
 
+def _integer(value, name) -> int:
+    """``value`` as an int if it is a Python or numpy integer (``bool`` too), else a
+    ValueError naming ``name``: the rule for every integer argument, before any work."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} takes integers only, got {value!r}")
+    return int(value)
+
+
 def _check_mode(x: np.ndarray, mode: int) -> None:
-    if not 0 <= mode < x.ndim:
+    if not 0 <= _integer(mode, "mode") < x.ndim:
         raise ValueError(f"mode {mode} out of range for a {x.ndim}-way tensor")
 
 
@@ -129,8 +137,8 @@ def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor of ``shape`` from its
     mode-d matricization."""
     m = np.asarray(m)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
+    shape = tuple(_integer(s, "shape") for s in shape)
+    if not 0 <= _integer(mode, "mode") < len(shape):
         raise ValueError(f"mode {mode} out of range for shape {shape}")
     p_other = math.prod(shape) // shape[mode]
     if m.ndim != 2 or m.shape != (shape[mode], p_other):
@@ -319,10 +327,8 @@ def multi_mode_product(
     """
     x = np.asarray(x)
     mats = list(mats)
-    if modes is None:
-        modes = list(range(len(mats)))
-    else:
-        modes = [int(m) for m in modes]
+    modes = (list(range(len(mats))) if modes is None
+             else [_integer(m, "modes") for m in modes])
     if len(modes) != len(mats):
         raise ValueError("mats and modes must have equal length")
     if isinstance(transpose, (bool, np.bool_)):

@@ -504,6 +504,16 @@ class TestTypedErrorExitCodes:
         assert f"[simulation] {key}: missing" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        text = self.BENCH.format(out=out, estimator="", itipup="", dims="dims = 6, 6, 6")
+        cfg.write_text(text.replace("T = 10\n", "T = 2.5\n"))
+        assert main(["bench", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "[simulation] T:" in err and "numeric error" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "data.tnsf", "--out", "x", "--ranks", "2,x"], "--ranks"),
         (["rank", "data.tnsf", "--kmax", "0"], "--kmax"),
@@ -512,6 +522,11 @@ class TestTypedErrorExitCodes:
         (["bench", "bench.cfg", "--ranks", "auto,2"], "--ranks"),
         (["rank", "data.tnsf", "--kmax", "1.5"], "--kmax"),
         (["simulate", "--out", "x", "--dims", "6,x,4"], "--dims"),
+        (["simulate", "--out", "x", "--T", "2.5"], "--T"),
+        (["simulate", "--out", "x", "--dims", "2.5,3"], "--dims"),
+        (["estimate", "data.tnsf", "--out", "x", "--kmax", "1.5"], "--kmax"),
+        (["rank", "data.tnsf", "--method", "itipup", "--lags", "1.5"], "--lags"),
+        (["bench", "bench.cfg", "--reps", "1.5"], "--reps"),
     ])
     def test_bad_flag_value_is_usage_error(self, argv, flag, capsys):
         assert main(argv) == 1

@@ -1,5 +1,6 @@
 """Tests for the mode-wise PCA estimators, rank selection and varimax."""
 
+import logging
 from functools import reduce
 
 import numpy as np
@@ -23,6 +24,7 @@ from tuckerfactor import (
     ipmopca_fit,
     mode_covariance,
     mopca_fit,
+    noiseless_dataset,
     pmopca_fit,
     projected_mode_covariance,
     projected_series,
@@ -585,6 +587,31 @@ class TestTypedErrors:
     def test_auto_ranks_on_a_size_one_mode(self, rng, fit_fn):
         with pytest.raises(ValueError, match="mode 1 of dims \\(6, 1, 4\\) has size 1"):
             fit_fn(rng.standard_normal((8, 6, 1, 4)))
+
+
+class TestNumericalRankWarning:
+    """An explicit rank past a mode's numerical rank (its eigenvalue at most
+    ``p_d * eps`` of the top) is a logged warning, not an error."""
+
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR[:4])
+    def test_rank_past_a_rank_one_mode_warns(self, rng, caplog, fit_fn):
+        # constant along mode 1: its centred unfoldings have rank 1
+        x = np.broadcast_to(rng.standard_normal((10, 8, 1, 8)), (10, 8, 8, 8)).copy()
+        with caplog.at_level(logging.DEBUG):
+            fit = fit_fn(x, (2, 2, 2))
+        assert fit.ranks == (2, 2, 2)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage().startswith("mode 1: rank 2 is past its numerical rank")
+
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR[:4])
+    def test_true_ranks_of_noiseless_data_log_nothing(self, caplog, fit_fn):
+        series, truth = noiseless_dataset(T=12, dims=(10, 10, 10), ranks=(2, 3, 4),
+                                          seed=2, phi=0.6)
+        with caplog.at_level(logging.DEBUG):
+            fit = fit_fn(series, (2, 3, 4))
+        assert column_space_distance(fit.loadings[2], truth.loadings[2]) < 1e-8
+        assert caplog.records == []
 
 
 class TestEstimateRanks:

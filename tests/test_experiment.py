@@ -102,6 +102,16 @@ class TestRunExperiment:
             assert row[2] == ""  # no mode, metrics empty
             assert row[3] == "" and row[4] == ""
 
+    def test_k_max_out_of_range_fails_before_the_fit(self, tmp_path, monkeypatch):
+        # explicit ranks: k_max serves only the rank selection after the fit
+        def fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+        monkeypatch.setattr(experiment, "mopca_fit", fit)
+        config = small_config(tmp_path, methods=("mopca",), reps=1)
+        config.estimators["mopca"].k_max = 9
+        [report] = run_experiment(config)
+        assert report.error == "k_max=9 out of range for dims (8, 8, 8)"
+
     def test_file_input_without_truth(self, tmp_path, rng):
         data = rng.standard_normal((10, 5, 5))
         path = tmp_path / "input.tnsf"

@@ -164,3 +164,36 @@ def test_cpu_per_wall_is_each_sides_median():
             for c in (1.0, 2.0, 9.0)]
     assert paired_bench.cpu_per_wall(runs) == {"parent": 1.0, "change": 2.0}
     assert paired_bench.cpu_per_wall([]) == {}
+
+
+def test_src_lines_counts_as_wc(tmp_path):
+    package = tmp_path / "src" / "tuckerfactor"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nno newline")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    assert paired_bench.src_lines(tmp_path) == 3
+    assert paired_bench.src_lines(tmp_path / "absent") == 0
+
+
+def test_both_trees_line_counts_are_recorded_and_printed(tmp_path, monkeypatch, capsys):
+    def fake_subprocess_run(argv, **kwargs):
+        if argv[0] == "tar":  # the parent tree: one package file of two lines
+            package = Path(argv[-1]) / "src" / "tuckerfactor"
+            package.mkdir(parents=True)
+            (package / "a.py").write_text("x = 1\ny = 2\n")
+        return SimpleNamespace(stdout=b"" if argv[:2] == ["git", "archive"] else "abc\n")
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(paired_bench, "run_pairs",
+                        lambda root, workload, seeds, held, seconds, report, save:
+                        save() or True)
+    out = tmp_path / "pairs.json"
+    assert paired_bench.main(["--workload", "files", "--parent", "HEAD", "--seeds", "1",
+                              "--out", str(out)]) == 0
+    change = paired_bench.src_lines(paired_bench.ROOT)
+    assert change > 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 2, "change": change, "delta": change - 2}
+    assert (f"src/tuckerfactor/*.py lines: parent 2 -> change {change} ({change - 2:+d})"
+            in capsys.readouterr().out)

@@ -24,7 +24,9 @@ also gives the no-regression verdict against the metric's bound: how
 much worse the change's median is than the parent's, relative to the
 parent's, and ``ok``, ``regressed`` (worse by more than the bound) or
 ``unresolved`` (the parent's IQR/median is wider than the bound, and not
-every change run beats every parent run).  The
+every change run beats every parent run).  It also records the line
+count of ``src/tuckerfactor/*.py`` in both trees, as ``wc -l`` counts
+it, and their difference under ``src_lines``.  The
 file is written again after every pair, so an interrupted script keeps
 its finished pairs.  A failed run stops the script with exit status 1;
 its error, with the run's stderr, is kept under ``failed``.
@@ -101,6 +103,13 @@ def summarize(pairs, metrics):
             "verdict": verdict,
         }
     return out
+
+
+def src_lines(root):
+    """Newlines in ``src/tuckerfactor/*.py`` under ``root``: the total of
+    ``wc -l src/tuckerfactor/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(root).glob("src/tuckerfactor/*.py"))
 
 
 def _seeds(text):
@@ -200,6 +209,8 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        lines = report["src_lines"] = {"parent": src_lines(tmp), "change": src_lines(ROOT)}
+        lines["delta"] = lines["change"] - lines["parent"]
         finished = run_pairs(tmp, args.workload, args.seeds, args.held_out,
                              args.seconds, report, save)
     if not finished:
@@ -212,6 +223,8 @@ def main(argv=None) -> int:
               f"{s['change']['q3']:.6g}]; wins {s['wins']}/{s['pairs']}, "
               f"gain shown: {s['gain_shown']}; worse by {s['worse_rel']:+.1%} "
               f"(bound {s['bound']}): {s['verdict']}")
+    print(f"src/tuckerfactor/*.py lines: parent {lines['parent']} -> change "
+          f"{lines['change']} ({lines['delta']:+d})")
     print("cpu_s/wall_s: " + ", ".join(f"{side} {r:.3f}"
                                        for side, r in report["cpu_per_wall"].items()))
     return 0

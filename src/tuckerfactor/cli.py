@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default=None,
                          help="comma-separated methods override")
     _add_estimator_flags(p_bench)
-    p_bench.add_argument("--varimax", action="store_true")
-    p_bench.add_argument("--emit-loadings", action="store_true")
+    p_bench.add_argument("--varimax", action="store_true", default=None)
+    p_bench.add_argument("--emit-loadings", action="store_true", default=None)
     return parser
 
 
@@ -238,7 +238,9 @@ def _cmd_bench(args) -> int:
     # each override through the configs' own checks, named by its flag
     for flag, name, value in (("--out", "out_dir", args.out), ("--seed", "sim", sim),
                               ("--reps", "replications", args.reps),
-                              ("--methods", "methods", methods)):
+                              ("--methods", "methods", methods),
+                              ("--emit-loadings", "emit_loadings", args.emit_loadings),
+                              ("--varimax", "apply_varimax", args.varimax)):
         if value is not None:
             try:
                 config = dataclasses.replace(config, **{name: value})
@@ -246,8 +248,6 @@ def _cmd_bench(args) -> int:
                 return _usage_error("bench", f"{flag}: {exc}")
     config.estimators = {m: dataclasses.replace(cfg, **_estimator_options(args))
                          for m, cfg in config.estimators.items()}
-    config.apply_varimax |= args.varimax
-    config.emit_loadings |= args.emit_loadings
     reports = run_experiment(config)
     failures = sum(1 for r in reports if r.error is not None)
     print(f"wrote {config.out_dir}/results.csv "

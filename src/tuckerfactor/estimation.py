@@ -56,8 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import EigenSystem, _eigensystem, _sine
-from .tensor import (_integer, _mode_gram, _mode_grams, _pieces, mode_product,
-                     multi_mode_product)
+from .tensor import (_check_mode, _integer, _mode_gram, _mode_grams, _pieces,
+                     mode_product, multi_mode_product)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -168,8 +168,7 @@ def mode_covariance(x: np.ndarray, mode: int) -> np.ndarray:
 def _series_matrix(x, mode, lags):
     """Mode ``mode``'s :func:`_mode_matrix` of the series ``x`` at ``lags``,
     over ``p``: the path of the layer functions."""
-    if not 0 <= _integer(mode, "mode") < x.ndim - 1:
-        raise ValueError(f"mode {mode} out of range for {x.ndim - 1}-way data")
+    _check_mode(x[0], mode)
     return _projected_covariance(x, lags, mode + 1, x.size // x.shape[0])
 
 
@@ -183,20 +182,13 @@ def projected_series(x: np.ndarray, loadings, mode: int,
     the product is evaluated by successive mode products.  With
     ``center`` the stack is that of the centred series ``X_t - mean_s
     X_s``, formed by subtracting the projected stack's own temporal mean
-    (the projection is linear), so no centred series is built.
+    (the projection is linear), so no centred series is built.  Every
+    mode's loading, d's own too, must first pass the fits' ``init`` check.
     """
     x = _as_series(x)
-    d_count = x.ndim - 1
-    if not 0 <= _integer(mode, "mode") < d_count:
-        raise ValueError(f"mode {mode} out of range for {d_count}-way data")
-    loadings = list(loadings)
-    if len(loadings) != d_count:
-        raise ValueError(f"need {d_count} loading matrices, got {len(loadings)}")
-    for d, a in enumerate(loadings):
-        if d != mode and a.shape[0] != x.shape[d + 1]:
-            raise ValueError(f"loading for mode {d} has {a.shape[0]} rows, "
-                             f"data has {x.shape[d + 1]}")
-    others = [d for d in range(d_count) if d != mode]
+    _check_mode(x[0], mode)
+    loadings = _check_init(loadings, x.shape[1:], "loadings")
+    others = [d for d in range(x.ndim - 1) if d != mode]
     y = _project(x, loadings, others, x.size // x.shape[0] // x.shape[mode + 1], mode)
     return _centred(y, center)
 
@@ -279,14 +271,12 @@ def extract_factors(x: np.ndarray, loadings, center: bool = False) -> np.ndarray
     """Core tensors ``F_t = X_t x_1 A_1' x_2 ... x_D A_D' / p``.
 
     With ``center`` they are the cores of ``X_t - mean_s X_s``: the cores'
-    own temporal mean is subtracted, so no centred series is built.
+    own temporal mean is subtracted, so no centred series is built.  The
+    ``loadings`` are checked as the fits check ``init``, before any product.
     """
     x = _as_series(x)
-    loadings = [np.asarray(a) for a in loadings]
-    if len(loadings) != x.ndim - 1:
-        raise ValueError(f"need {x.ndim - 1} loading matrices, got {len(loadings)}")
-    return _centred(_project(x, loadings, range(x.ndim - 1), x.size // x.shape[0]),
-                    center)
+    loadings = _check_init(loadings, x.shape[1:], "loadings")
+    return _centred(_project(x, loadings, range(x.ndim - 1), x[0].size), center)
 
 
 def reconstruct_signals(factors: np.ndarray, loadings) -> np.ndarray:
@@ -310,7 +300,8 @@ def _signal_pieces(factors, loadings, mean=None):
 def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     """Index maximizing the consecutive eigenvalue ratio.
 
-    ``values`` must be descending and nonnegative.  The denominator is
+    ``values`` must be finite and non-increasing, with a positive top; a raw
+    spectrum's rounding-level negative tail is fine, as the denominator is
     floored at ``RATIO_FLOOR`` times the top eigenvalue so (near-)noiseless
     spectra stay well defined; ties resolve to the smallest index.
     Returns a 1-based rank.
@@ -318,6 +309,8 @@ def select_rank_from_eigenvalues(values: np.ndarray, k_max: int) -> int:
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError(f"values has non-finite entries: {values}")
+    if (np.diff(values) > 0).any():
+        raise ValueError(f"values must be non-increasing, got {values}")
     if not 1 <= _integer(k_max, "k_max") <= values.size - 1:
         raise ValueError(f"k_max={k_max} out of range for {values.size} eigenvalues")
     if values[0] <= 0:
@@ -458,8 +451,8 @@ def _nondegenerate(d, es):
 
 
 def _check_init(init, dims, name="init"):
-    """``init`` as float matrices, checked before any pass over the series:
-    one per mode, with ``p_d`` rows, finite and of full column rank."""
+    """A loadings argument ``init``, named ``name``, as float matrices checked
+    before any pass: one per mode of ``p_d`` rows, finite, full column rank."""
     if init is None:
         return None
     init = [np.asarray(a, dtype=float) for a in init]

@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if (self.sim is None) == (self.input_path is None):
             raise ValueError("exactly one of sim / input_path must be set")
+        if self.apply_varimax and not self.emit_loadings:
+            raise ValueError("varimax rotates emitted loadings: it needs emit_loadings")
 
     def estimator_for(self, method: str) -> EstimatorConfig:
         return self.estimators.get(method) or EstimatorConfig(method=method)

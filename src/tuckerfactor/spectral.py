@@ -78,6 +78,8 @@ def thin_left_singular(m: np.ndarray, k: int) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("thin_left_singular expects a matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("thin_left_singular: m has non-finite entries")
     if not 1 <= _integer(k, "k") <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
     u, _, _ = np.linalg.svd(m, full_matrices=False)
@@ -93,8 +95,9 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     from the residual ``(I - P_a) Q_b`` so that tiny angles keep full
     precision.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("subspace_distance: a or b has non-finite entries")
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspace_distance: row counts differ")
     if a.shape[1] != b.shape[1]:

@@ -272,8 +272,8 @@ class TestOneCopyPipeline:
         assert read_tensor_series(out).tobytes() == signals.tobytes()
 
     def test_failed_reconstruct_leaves_no_output(self, data, tmp_path):
-        # loadings with the wrong row counts fail inside the chunk pass,
-        # after the output file was opened
+        # loadings with the wrong row counts fail in extract_factors, before
+        # the output file is opened
         path, _ = data
         prefix = tmp_path / "wrong"
         write_loadings(prefix, make_orthonormal_loadings(
@@ -281,6 +281,51 @@ class TestOneCopyPipeline:
         out = tmp_path / "rec.tnsf"
         assert main(["reconstruct", path, "--loadings", str(prefix),
                      "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_failed_write_removes_partial_output(self, data, tmp_path, capsys,
+                                                 monkeypatch):
+        # a write that fails after the file was opened and partly written
+        path, _ = data
+        prefix = str(tmp_path / "fit")
+        assert main(["estimate", path, "--ranks", "2,2,2", "--out", prefix]) == 0
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", int(np.prod(self.DIMS)))
+        writes, write = [], cli._write_payload
+
+        def fail_second(out, signals):
+            writes.append(len(signals))
+            if len(writes) == 2:
+                raise OSError("no space left on device")
+            write(out, signals)
+
+        monkeypatch.setattr(cli, "_write_payload", fail_second)
+        out = tmp_path / "rec.tnsf"
+        assert main(["reconstruct", path, "--loadings", prefix,
+                     "--out", str(out)]) == 2
+        assert writes == [1, 1]
+        assert "no space left on device" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReconstructLoadingsChecked:
+    """Saved loadings that are not finite and of full column rank exit with
+    the numeric-error code, naming the mode, before any output."""
+
+    @pytest.mark.parametrize("mode, index, value", [
+        (1, (0, 0), np.nan), (2, ..., 0.0),
+    ], ids=["nan-A2", "zero-A3"])
+    def test_bad_loadings_exit_numeric(self, tmp_path, capsys, mode, index, value):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "data.tnsf"
+        write_tensor_series(path, rng.standard_normal((10, 6, 5, 4)))
+        loadings = make_orthonormal_loadings(rng, (6, 5, 4), (2, 2, 2))
+        loadings[mode][index] = value
+        write_loadings(tmp_path / "bad", loadings)
+        out = tmp_path / "rec.tnsf"
+        assert main(["reconstruct", str(path), "--loadings", str(tmp_path / "bad"),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"loadings for mode {mode} is not finite and of full column rank" in err
         assert not out.exists()
 
 
@@ -448,6 +493,36 @@ class TestBenchOverrides:
         assert main(["bench", str(cfg), flag, value]) == 1
         assert f"{flag}:" in capsys.readouterr().err
         assert seen == [] and not out.exists()
+
+    @pytest.mark.parametrize("extra, flags, name", [
+        ("", ["--varimax"], "--varimax:"),
+        ("varimax = true\n", [], "varimax"),
+        ("varimax = true\n", ["--emit-loadings"], "varimax"),
+    ], ids=["flag", "config", "config-and-flag"])
+    def test_varimax_without_loadings_is_usage_error(self, tmp_path, capsys,
+                                                     extra, flags, name):
+        # varimax rotates the emitted loadings: without them it would do nothing
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(TestBenchUnknownMethod.CONFIG.format(
+            methods=f"mopca\n{extra}", out=out))
+        assert main(["bench", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "emit_loadings" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, flags", [
+        ("", ["--varimax", "--emit-loadings"]),
+        ("emit_loadings = true\n", ["--varimax"]),
+    ], ids=["flags", "config-and-flag"])
+    def test_varimax_with_loadings_runs(self, tmp_path, extra, flags):
+        out = tmp_path / "results"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(TestBenchUnknownMethod.CONFIG.format(
+            methods=f"mopca\n{extra}", out=out))
+        assert main(["bench", str(cfg), *flags]) == 0
+        assert (out / "results.csv").exists()
+        assert len(list((out / "loadings").iterdir())) == 2
 
     def test_seed_on_input_data_is_usage_error(self, tmp_path, capsys, monkeypatch, rng):
         # a file's data has no seed to override

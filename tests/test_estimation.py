@@ -417,6 +417,48 @@ class TestInitChecked:
         assert fit.ranks == (2, 2, 2)
 
 
+def _spoiled(d, index, value):
+    """Loadings with mode d's entries at ``index`` set to ``value``."""
+    def spoil(loadings):
+        loadings = [a.copy() for a in loadings]
+        loadings[d][index] = value
+        return loadings
+    return spoil
+
+
+class TestLoadingsChecked:
+    """The layer functions that take loadings check them by the rule of
+    ``init``, every mode's (the projected mode's own too), before any mode
+    product."""
+
+    DIMS = (6, 5, 4)
+    BAD = {
+        "nan": _spoiled(1, (0, 0), np.nan),
+        "inf": _spoiled(1, (2, 1), np.inf),
+        "zero-column": _spoiled(2, (slice(None), 1), 0.0),
+        "extra-row": lambda a: [np.vstack([a[0], a[0][:1]]), *a[1:]],
+        "too-few": lambda a: a[:2],
+    }
+
+    @pytest.mark.parametrize("call", [
+        lambda x, a: projected_series(x, a, 1),
+        lambda x, a: projected_mode_covariance(x, a, 1, center=True),
+        lambda x, a: extract_factors(x, a),
+    ], ids=["projected_series", "projected_mode_covariance", "extract_factors"])
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_bad_loadings_fail_before_any_product(self, monkeypatch, rng, call, bad):
+        loadings = make_orthonormal_loadings(rng, self.DIMS, (2, 2, 2))
+        x = rng.standard_normal((8,) + self.DIMS)
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a mode product ran before the check")
+
+        monkeypatch.setattr(estimation, "_project", no_product)
+        monkeypatch.setattr(tensor, "mode_product", no_product)
+        with pytest.raises(ValueError, match="^loadings"):
+            call(x, self.BAD[bad](loadings))
+
+
 GATE_DIMS = (6, 5, 4)
 GATE_INIT = [np.linalg.qr(np.random.default_rng(p).standard_normal((p, 2)))[0]
              for p in GATE_DIMS]
@@ -645,6 +687,14 @@ class TestEstimateRanks:
     def test_non_finite_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="values has non-finite entries"):
             select_rank_from_eigenvalues([np.nan, 1.0, 0.5], 1)
+
+    def test_increasing_eigenvalues_rejected(self):
+        with pytest.raises(ValueError, match="^values must be non-increasing"):
+            select_rank_from_eigenvalues([0.5, 1.0, 2.0, 4.0], 2)
+
+    def test_rounding_level_negative_tail_accepted(self):
+        # a raw spectrum may end below zero; the ratio floor handles it
+        assert select_rank_from_eigenvalues([4.0, 2.0, 1e-17, -1e-17], 2) == 2
 
 
 class TestVarimax:

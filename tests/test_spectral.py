@@ -92,6 +92,12 @@ class TestThinLeftSingular:
         with pytest.raises(ValueError):
             thin_left_singular(rng.standard_normal((3, 2)), 3)
 
+    def test_non_finite_rejected(self, rng):
+        m = rng.standard_normal((4, 3))
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError, match="m has non-finite entries"):
+            thin_left_singular(m, 2)
+
 
 class TestSubspaceDistance:
     def test_matches_projector_difference(self, rng):
@@ -111,6 +117,13 @@ class TestSubspaceDistance:
         b = a + 1e-9 * rng.standard_normal(a.shape)
         d = subspace_distance(a, b)
         assert 0 < d < 1e-8
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_rejected(self, rng, bad):
+        pair = [rng.standard_normal((5, 2)) for _ in range(2)]
+        pair[bad][3, 0] = np.nan
+        with pytest.raises(ValueError, match="a or b has non-finite entries"):
+            subspace_distance(*pair)
 
 
 class TestCores:

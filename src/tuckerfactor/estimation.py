@@ -56,8 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import EigenSystem, _eigensystem, _sine
-from .tensor import (_check_mode, _integer, _mode_gram, _mode_grams, _pieces,
-                     mode_product, multi_mode_product)
+from .tensor import (_check_mode, _integer, _matrix, _mode_gram, _mode_grams,
+                     _pieces, mode_product, multi_mode_product)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -650,11 +650,9 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     improving.  Returns ``(rotated, q)`` with ``rotated = a @ q`` and
     ``q`` orthogonal; the column space is unchanged.
     """
-    max_sweeps, a = _integer(max_sweeps, "max_sweeps"), np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] < 1:
+    max_sweeps, a = _integer(max_sweeps, "max_sweeps"), _matrix(a, "a")
+    if a.shape[1] < 1:
         raise ValueError("varimax expects a matrix with at least one column")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("varimax: input contains non-finite entries")
     p, k = a.shape
     q = np.eye(k)
     b = a.copy()

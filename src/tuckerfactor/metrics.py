@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import subspace_distance
+from .tensor import _matrix
 
 
 def column_space_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
@@ -15,15 +16,8 @@ def column_space_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     either argument by an invertible matrix.  Raises on non-finite or
     rank-deficient input.
     """
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_true = np.asarray(a_true, dtype=float)
-    if a_hat.ndim != 2 or a_true.ndim != 2:
-        raise ValueError("column_space_distance expects matrices")
-    if a_hat.shape[0] != a_true.shape[0]:
-        raise ValueError("row counts differ")
-    for name, m in (("a_hat", a_hat), ("a_true", a_true)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"column_space_distance: {name} has non-finite entries")
+    a_hat, a_true = _matrix(a_hat, "a_hat"), _matrix(a_true, "a_true")
+    for m in (a_hat, a_true):
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[0] == 0 or sv[-1] <= 1e-10 * sv[0]:
             raise ValueError("column_space_distance: rank-deficient input")

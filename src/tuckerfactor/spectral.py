@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _integer
+from .tensor import _integer, _matrix
 
 
 @dataclass
@@ -53,11 +53,9 @@ def top_k_eigensystem(s: np.ndarray, k: int) -> EigenSystem:
     k : int
         Number of eigenpairs, ``1 <= k <= s.shape[0]``.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    s = _matrix(s, "s")
+    if s.shape[0] != s.shape[1]:
         raise ValueError("top_k_eigensystem expects a square matrix")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("matrix contains non-finite entries")
     n = s.shape[0]
     if not 1 <= _integer(k, "k") <= n:
         raise ValueError(f"k={k} out of range for a {n}x{n} matrix")
@@ -75,11 +73,7 @@ def _eigensystem(s: np.ndarray) -> EigenSystem:
 
 def thin_left_singular(m: np.ndarray, k: int) -> np.ndarray:
     """First ``k`` left singular vectors of ``m`` as orthonormal columns."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("thin_left_singular expects a matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("thin_left_singular: m has non-finite entries")
+    m = _matrix(m, "m")
     if not 1 <= _integer(k, "k") <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
     u, _, _ = np.linalg.svd(m, full_matrices=False)
@@ -95,9 +89,7 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     from the residual ``(I - P_a) Q_b`` so that tiny angles keep full
     precision.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("subspace_distance: a or b has non-finite entries")
+    a, b = _matrix(a, "a"), _matrix(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ValueError("subspace_distance: row counts differ")
     if a.shape[1] != b.shape[1]:

@@ -107,6 +107,17 @@ def _integer(value, name) -> int:
     return int(value)
 
 
+def _matrix(value, name) -> np.ndarray:
+    """``value`` as a float ndarray if it is 2-D and finite, else a ValueError
+    naming ``name``: the rule for every matrix argument, before any work."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return value
+
+
 def _check_mode(x: np.ndarray, mode: int) -> None:
     if not 0 <= _integer(mode, "mode") < x.ndim:
         raise ValueError(f"mode {mode} out of range for a {x.ndim}-way tensor")

@@ -197,3 +197,26 @@ def test_both_trees_line_counts_are_recorded_and_printed(tmp_path, monkeypatch, 
     assert report["src_lines"] == {"parent": 2, "change": change, "delta": change - 2}
     assert (f"src/tuckerfactor/*.py lines: parent 2 -> change {change} ({change - 2:+d})"
             in capsys.readouterr().out)
+
+
+def test_both_trees_digests_are_recorded_and_the_groups_that_differ_printed(
+        tmp_path, monkeypatch, capsys):
+    def fake_subprocess_run(argv, **kwargs):
+        if argv[0] == "tar":
+            return SimpleNamespace()
+        if argv[1:2] == [str(paired_bench.ROOT / "tools" / "digest.py")]:
+            change = argv[-1] == str(paired_bench.ROOT / "src")
+            return SimpleNamespace(stdout=f"fits 1\ncli {3 if change else 2}\n")
+        return SimpleNamespace(stdout=b"" if argv[:2] == ["git", "archive"] else "abc\n")
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(paired_bench, "run_pairs",
+                        lambda root, workload, seeds, held, seconds, report, save:
+                        save() or True)
+    out = tmp_path / "pairs.json"
+    assert paired_bench.main(["--workload", "files", "--parent", "HEAD", "--seeds", "1",
+                              "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["digest"] == {
+        "parent": {"fits": "1", "cli": "2"}, "change": {"fits": "1", "cli": "3"},
+        "equal": False}
+    assert "digest: differs in cli" in capsys.readouterr().out

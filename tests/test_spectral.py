@@ -122,7 +122,7 @@ class TestSubspaceDistance:
     def test_non_finite_rejected(self, rng, bad):
         pair = [rng.standard_normal((5, 2)) for _ in range(2)]
         pair[bad][3, 0] = np.nan
-        with pytest.raises(ValueError, match="a or b has non-finite entries"):
+        with pytest.raises(ValueError, match=f"^{'ab'[bad]} has non-finite entries"):
             subspace_distance(*pair)
 
 

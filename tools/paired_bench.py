@@ -26,7 +26,9 @@ parent's, and ``ok``, ``regressed`` (worse by more than the bound) or
 ``unresolved`` (the parent's IQR/median is wider than the bound, and not
 every change run beats every parent run).  It also records the line
 count of ``src/tuckerfactor/*.py`` in both trees, as ``wc -l`` counts
-it, and their difference under ``src_lines``.  The
+it, and their difference under ``src_lines``, and the output digests of
+``tools/digest.py`` for both trees' ``src`` under ``digest`` (``parent``,
+``change``, and ``equal`` when every group matches).  The
 file is written again after every pair, so an interrupted script keeps
 its finished pairs.  A failed run stops the script with exit status 1;
 its error, with the run's stderr, is kept under ``failed``.
@@ -110,6 +112,15 @@ def src_lines(root):
     ``wc -l src/tuckerfactor/*.py``."""
     return sum(path.read_bytes().count(b"\n")
                for path in Path(root).glob("src/tuckerfactor/*.py"))
+
+
+def digest(root):
+    """``{group: sha256}`` that ``tools/digest.py`` prints for the package in
+    ``root``'s ``src``."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "digest.py"), "--src",
+                           str(Path(root) / "src")], check=True, capture_output=True,
+                          text=True)
+    return dict(line.partition(" ")[::2] for line in done.stdout.splitlines())
 
 
 def _seeds(text):
@@ -211,6 +222,8 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         lines = report["src_lines"] = {"parent": src_lines(tmp), "change": src_lines(ROOT)}
         lines["delta"] = lines["change"] - lines["parent"]
+        digests = report["digest"] = {"parent": digest(tmp), "change": digest(ROOT)}
+        digests["equal"] = digests["parent"] == digests["change"]
         finished = run_pairs(tmp, args.workload, args.seeds, args.held_out,
                              args.seconds, report, save)
     if not finished:
@@ -225,6 +238,9 @@ def main(argv=None) -> int:
               f"(bound {s['bound']}): {s['verdict']}")
     print(f"src/tuckerfactor/*.py lines: parent {lines['parent']} -> change "
           f"{lines['change']} ({lines['delta']:+d})")
+    parent, change = digests["parent"], digests["change"]
+    differ = sorted(g for g in parent.keys() | change.keys() if parent.get(g) != change.get(g))
+    print("digest: " + (f"differs in {', '.join(differ)}" if differ else "equal"))
     print("cpu_s/wall_s: " + ", ".join(f"{side} {r:.3f}"
                                        for side, r in report["cpu_per_wall"].items()))
     return 0

@@ -45,7 +45,7 @@ from .io import (
 )
 from .metrics import _reconstruction_sums, _relative_error
 from .simulation import SCENARIOS, SimConfig, simulate_dataset
-from .tensor import mode_product
+from .tensor import _second_thread, mode_product
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -206,17 +206,20 @@ def _cmd_reconstruct(args) -> int:
     mean = series.mean(axis=0) if center else None
     sums = (0.0, 0.0)
     out = open(args.out, "wb") if args.out is not None else contextlib.nullcontext()
-    # written and scored from the same pieces: no full-size copy of the series
+    # run by run, no full-size copy; a run is written while the next is built
     try:
-        with out:
+        with out, _second_thread(series) as submit:
             if args.out is not None:
-                out.write(_header(series.shape))
+                written = submit(out.write, _header(series.shape))
             for s, signals in _signal_pieces(factors, loadings,
                                              None if args.centered_output else mean):
                 x = series[s] - mean if args.centered_output and center else series[s]
                 sums = _reconstruction_sums(x, signals, *sums)
                 if args.out is not None:
-                    _write_payload(out, signals)
+                    written.result()
+                    written = submit(_write_payload, out, signals)
+            if args.out is not None:
+                written.result()
             re_val = _relative_error(*sums)
     except Exception:
         if args.out is not None:

@@ -56,8 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import EigenSystem, _eigensystem, _sine
-from .tensor import (_check_mode, _integer, _matrix, _mode_gram, _mode_grams,
-                     _pieces, mode_product, multi_mode_product)
+from .tensor import (_check_mode, _in_halves, _integer, _matrix, _mode_gram,
+                     _mode_grams, _pieces, mode_product, multi_mode_product)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
@@ -240,8 +240,8 @@ def _project(x, loadings, modes, scale=1.0, stack=None):
     ``x`` is a series or a prefix of one (lower modes already contracted),
     with mode d on axis ``d + 1``.  The mode with the largest ``p_d / k_d``
     goes first, so later products act on the smallest intermediate.  The
-    products are taken one run of whole tensors at a time
-    (:func:`tensor._pieces`) into the preallocated result.
+    products are taken run by run of whole tensors (:func:`tensor._pieces`,
+    in :func:`tensor._in_halves`) into the preallocated result.
     """
     modes = sorted(modes, key=lambda d: -x.shape[d + 1] / loadings[d].shape[1])
     shape = list(x.shape)
@@ -252,11 +252,14 @@ def _project(x, loadings, modes, scale=1.0, stack=None):
     axes = range(x.ndim) if stack is None else (
         0, stack + 1, *(a for a in range(x.ndim - 1, 0, -1) if a != stack + 1))
     out = np.empty([shape[a] for a in axes])
-    for (s,) in _pieces(x.shape):
-        z = x[s]
-        for d in modes:
-            z = mode_product(z, loadings[d].T, d + 1)
-        np.divide(z.transpose(axes), scale, out=out[s])
+
+    def run(part, _):
+        for (s,) in part:
+            z = x[s]
+            for d in modes:
+                z = mode_product(z, loadings[d].T, d + 1)
+            np.divide(z.transpose(axes), scale, out=out[s])
+    _in_halves(x, run, _pieces(x.shape))
     return out if stack is None else out.reshape(x.shape[0], x.shape[stack + 1], -1)
 
 
@@ -651,8 +654,6 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     ``q`` orthogonal; the column space is unchanged.
     """
     max_sweeps, a = _integer(max_sweeps, "max_sweeps"), _matrix(a, "a")
-    if a.shape[1] < 1:
-        raise ValueError("varimax expects a matrix with at least one column")
     p, k = a.shape
     q = np.eye(k)
     b = a.copy()

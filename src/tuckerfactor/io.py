@@ -14,10 +14,11 @@ Layout (all integers little-endian, independent of host byte order):
 Loading matrices are stored in the same container as 2-way tensors with
 T = 1, one file per mode with suffixes ``.A1``, ``.A2``, ...
 
-The reader streams the payload one tensor at a time into the array it
-returns, so it holds the series once.  The writer also goes one tensor at
-a time; its header and payload steps are separate, so the CLI can write a
-series chunk by chunk as it computes it.
+The reader reads the payload tensor by tensor, each at its offset, into
+the array it returns (the second half in a second thread, see
+``tensor._in_halves``), so it holds the series once.  The writer goes
+one tensor at a time too; its header and payload steps are separate, so
+the CLI can write a series chunk by chunk as it computes it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import os
 import struct
 
 import numpy as np
+
+from .tensor import _in_halves
 
 MAGIC = b"TNSF"
 VERSION = 1
@@ -149,14 +152,21 @@ def read_tensor_series(path) -> np.ndarray:
                 f"trailing bytes after declared payload of {expected} bytes "
                 f"at offset {payload_offset}"
             )
-        out = np.empty((t_len,) + dims)
-        buf = np.empty(p, dtype="<f8")
-        # a tensor is stored first index fastest: C order with axes reversed
-        tensor = buf.reshape(dims[::-1]).T
-        for t in range(t_len):
-            if fh.readinto(buf) != buf.nbytes:
-                raise PayloadSizeError(f"payload of {path} shrank while being read")
-            out[t] = tensor
+        # the caller allocates each half's buffer: pages a worker allocates stay resident
+        out, bufs = np.empty((t_len,) + dims), np.empty((min(t_len, 2), p), dtype="<f8")
+
+        def read(ts, half):
+            raw, fd = memoryview(bufs[half]).cast("B"), fh.fileno()
+            for t in ts:
+                # a read stops short past 2 GiB, and reads 0 bytes at the end
+                got, start = 0, payload_offset + t * raw.nbytes
+                while got < raw.nbytes and (n := os.preadv(fd, [raw[got:]], start + got)):
+                    got += n
+                if got < raw.nbytes:
+                    raise PayloadSizeError(f"payload of {path} shrank while being read")
+                # a tensor is stored first index fastest: C order with axes reversed
+                out[t] = bufs[half].reshape(dims[::-1]).T
+        _in_halves(out, read, range(t_len))
     return out
 
 

@@ -22,10 +22,12 @@ walks the series in the pieces of :func:`_pieces`, by one rule per axis:
 runs of whole tensors of at most ``_CHUNK_ELEMS`` elements along the
 first axis, or windows of one tensor, at any tensor size, along a later
 one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
-or the simulator's pre-sample noise state.  The moment pass's two reads
-(each with its own ring), and the simulator's noise draws and colouring,
-run at once for tensors over ``_AT_ONCE_ELEMS`` when BLAS threads leave
-half the cores idle, else in turn (:func:`_second_thread`).
+or the simulator's pre-sample noise state.  Two threads, for tensors over
+``_AT_ONCE_ELEMS`` when BLAS threads leave half the cores idle, else one
+in turn (:func:`_second_thread`), share the moment pass's two reads (each
+with its own ring), the simulator's draws and colouring, the halves
+(:func:`_in_halves`) of the projections' runs and of a TNSF read, and
+``cli reconstruct``'s building and writing.
 """
 
 from __future__ import annotations
@@ -99,6 +101,19 @@ def _second_thread(x: np.ndarray):
         worker.shutdown(cancel_futures=True)
 
 
+def _in_halves(x: np.ndarray, run, pieces) -> None:
+    """``run(part, half)`` over independent ``pieces``: with two or more, where
+    :func:`_reads_at_once` holds for ``x``, the caller runs ``run(pieces[:n], 0)``
+    and a worker ``run(pieces[n:], 1)`` (n: half, rounded up); else ``run(pieces, 0)``."""
+    if len(pieces) < 2 or not _reads_at_once(x):
+        return run(pieces, 0)
+    n = (len(pieces) + 1) // 2
+    with _second_thread(x) as submit:
+        second = submit(run, pieces[n:], 1)
+        run(pieces[:n], 0)
+        second.result()
+
+
 def _integer(value, name) -> int:
     """``value`` as an int if it is a Python or numpy integer (``bool`` too), else a
     ValueError naming ``name``: the rule for every integer argument, before any work."""
@@ -108,11 +123,15 @@ def _integer(value, name) -> int:
 
 
 def _matrix(value, name) -> np.ndarray:
-    """``value`` as a float ndarray if it is 2-D and finite, else a ValueError
-    naming ``name``: the rule for every matrix argument, before any work."""
+    """``value`` as a float ndarray if it is real, 2-D, non-empty and finite, else
+    a ValueError naming ``name``: the rule for every matrix argument, before any work."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got complex entries")
     value = np.asarray(value, dtype=float)
     if value.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got shape {value.shape}")
+    if 0 in value.shape:
+        raise ValueError(f"{name} is empty, got shape {value.shape}")
     if not np.isfinite(value).all():
         raise ValueError(f"{name} has non-finite entries")
     return value

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import tuckerfactor
+from tuckerfactor import cli, tensor
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 _SPEC = importlib.util.spec_from_file_location("digest", _PATH)
@@ -29,6 +30,8 @@ def test_the_script_prints_each_group_as_computed_in_process():
                           capture_output=True, text=True, check=True)
     printed = dict(line.split(" ") for line in done.stdout.splitlines())
     assert list(printed) == list(digest.GROUPS)
+    assert list(printed) == ["simulate", "simulate-large", "fits", "ranks", "layers",
+                             "matrices", "cli", "cli-large"]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in printed.values())
     assert printed == digest.digests(tuckerfactor)
 
@@ -44,6 +47,19 @@ def test_a_changed_output_changes_its_group_alone(monkeypatch):
     monkeypatch.setattr(tuckerfactor, "varimax", nudged)
     after = digest.digests(tuckerfactor)
     assert [g for g in before if before[g] != after[g]] == ["matrices"]
+
+
+def test_cli_large_alone_reads_tensors_that_may_be_read_at_once(monkeypatch):
+    before = digest.digests(tuckerfactor)
+    read = cli.read_tensor_series
+
+    def nudged(path):
+        x = read(path)
+        return np.nextafter(x, np.inf) if x[0].size > tensor._AT_ONCE_ELEMS else x
+
+    monkeypatch.setattr(cli, "read_tensor_series", nudged)
+    after = digest.digests(tuckerfactor)
+    assert [g for g in before if before[g] != after[g]] == ["cli-large"]
 
 
 def test_feed_tells_apart_values_that_compare_equal():

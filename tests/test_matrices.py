@@ -1,7 +1,7 @@
 """Every matrix argument of the package is checked by one rule
-(``tensor._matrix``): a vector, a 3-D array, or a NaN or inf entry fails
-by name before any decomposition, and finite matrices pass, as arrays or
-nested lists."""
+(``tensor._matrix``): a complex or empty matrix, a vector, a 3-D array, or
+a NaN or inf entry fails by name before any decomposition, and finite
+matrices pass, as arrays or nested lists."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,10 @@ BAD = [
     pytest.param(np.ones((4, 2, 2)), r"must be a matrix, got shape \(4, 2, 2\)", id="3-d"),
     pytest.param(_with(np.nan), "has non-finite entries", id="nan"),
     pytest.param(_with(np.inf), "has non-finite entries", id="inf"),
+    pytest.param(GOOD * 1j, "must be real, got complex entries", id="complex"),
+    pytest.param(GOOD + 0j, "must be real, got complex entries", id="complex-real"),
+    pytest.param(np.ones((4, 0)), r"is empty, got shape \(4, 0\)", id="no-columns"),
+    pytest.param(np.ones((0, 4)), r"is empty, got shape \(0, 4\)", id="no-rows"),
 ]
 
 
@@ -67,3 +71,17 @@ def test_non_matrices_rejected_by_name_before_any_decomposition(
 def test_finite_matrices_accepted(name, call, as_list):
     value = GOOD @ GOOD.T if name == "s" else GOOD
     call(value.tolist() if as_list else value)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+def test_distances_between_no_subspaces_are_refused(shape):
+    # they returned 0.0, or died with IndexError in column_space_distance
+    for distance in (subspace_distance, column_space_distance):
+        with pytest.raises(ValueError, match="is empty"):
+            distance(np.ones(shape), np.ones(shape))
+
+
+def test_complex_matrices_are_not_read_as_their_real_part():
+    # the imaginary part was dropped with a ComplexWarning: distance 0.7071
+    with pytest.raises(ValueError, match="^a must be real"):
+        subspace_distance(1j * np.ones((3, 2)), np.ones((3, 2)))

@@ -21,7 +21,11 @@ default), and one line ``<group> <sha256>`` is printed per output group:
 * ``matrices``: ``top_k_eigensystem``, ``thin_left_singular``,
   ``subspace_distance``, ``column_space_distance`` and ``varimax``;
 * ``cli``: the exit codes, stdout and output files of ``simulate``,
-  ``rank``, ``estimate`` and ``reconstruct``, with ``seconds=`` removed.
+  ``rank``, ``estimate`` and ``reconstruct``, with ``seconds=`` removed;
+* ``cli-large``: the same of ``rank``, ``estimate --method ipmopca`` and
+  ``reconstruct --out`` on the large series written to a TNSF file, so
+  that, where ``tensor._reads_at_once`` holds, the reader, the
+  projections and the writes of ``reconstruct`` run on two threads.
 
 Two trees whose outputs are bitwise equal print the same lines.  Compare
 them at one BLAS thread count (``OPENBLAS_NUM_THREADS``): the simulator's
@@ -138,22 +142,17 @@ def _matrices(tf, data):
             tf.column_space_distance(a_hat, a_true), tf.varimax(m), tf.varimax(a_hat)]
 
 
-def _cli(tf, data):
+def _cli_runs(tf, argvs, series=None):
+    """The exit code and stdout (``seconds=`` removed) of each CLI run of
+    ``argvs``, then every file left, in a fresh directory where ``series``,
+    if given, was first written to ``x.tnsf``."""
     cli = importlib.import_module("tuckerfactor.cli")
     out = []
     # relative paths in a fresh directory, as stdout names its files
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        x = "x.tnsf"
-        for argv in (["simulate", "--out", x, "--T", "15", "--dims", "7,6,5",
-                      "--ranks", "2,2,3", "--scenario", "IV", "--seed", "4"],
-                     ["rank", x], ["rank", x, "--method", "itipup", "--kmax", "4"],
-                     ["estimate", x, "--out", "mopca", "--varimax"],
-                     ["estimate", x, "--out", "ipmopca", "--method", "ipmopca",
-                      "--ranks", "2,2,3"],
-                     ["reconstruct", x, "--loadings", "ipmopca",
-                      "--out", "signals.tnsf"],
-                     ["reconstruct", x, "--loadings", "mopca",
-                      "--out", "centred.tnsf", "--centered-output"]):
+        if series is not None:
+            tf.write_tensor_series("x.tnsf", series)
+        for argv in argvs:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv)
@@ -162,8 +161,31 @@ def _cli(tf, data):
     return out
 
 
+def _cli(tf, data):
+    x = "x.tnsf"
+    return _cli_runs(tf, (["simulate", "--out", x, "--T", "15", "--dims", "7,6,5",
+                           "--ranks", "2,2,3", "--scenario", "IV", "--seed", "4"],
+                          ["rank", x], ["rank", x, "--method", "itipup", "--kmax", "4"],
+                          ["estimate", x, "--out", "mopca", "--varimax"],
+                          ["estimate", x, "--out", "ipmopca", "--method", "ipmopca",
+                           "--ranks", "2,2,3"],
+                          ["reconstruct", x, "--loadings", "ipmopca",
+                           "--out", "signals.tnsf"],
+                          ["reconstruct", x, "--loadings", "mopca",
+                           "--out", "centred.tnsf", "--centered-output"]))
+
+
+def _cli_large(tf, data):
+    x = "x.tnsf"
+    return _cli_runs(tf, (["rank", x],
+                          ["estimate", x, "--out", "fit", "--method", "ipmopca"],
+                          ["reconstruct", x, "--loadings", "fit", "--out", "signals.tnsf"]),
+                     data["large"][0])
+
+
 GROUPS = {"simulate": _simulate, "simulate-large": _simulate_large, "fits": _fits,
-          "ranks": _ranks, "layers": _layers, "matrices": _matrices, "cli": _cli}
+          "ranks": _ranks, "layers": _layers, "matrices": _matrices, "cli": _cli,
+          "cli-large": _cli_large}
 
 
 def digests(tf) -> dict[str, str]:

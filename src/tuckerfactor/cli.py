@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
 import os
 import sys
@@ -31,6 +30,7 @@ from .experiment import (
     EstimatorConfig,
     _ints,
     _parse_option,
+    _words,
     parse_experiment_config,
     run_experiment,
 )
@@ -138,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="replication study from a config file")
     p_bench.add_argument("config")
-    p_bench.add_argument("--out", default=None, help="override output directory")
+    p_bench.add_argument("--out", default=None, help="output directory")
     p_bench.add_argument("--reps", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--methods", default=None,
-                         help="comma-separated methods override")
+    p_bench.add_argument("--methods", type=_words, default=None,
+                         help="comma-separated methods")
     _add_estimator_flags(p_bench)
     p_bench.add_argument("--varimax", action="store_true", default=None)
     p_bench.add_argument("--emit-loadings", action="store_true", default=None)
@@ -230,27 +230,18 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = parse_experiment_config(args.config)
-    except ValueError as exc:  # a value of the file, named by its key
-        return _usage_error("bench", f"{args.config}: {exc}")
-    methods = None if args.methods is None else args.methods.replace(",", " ").split()
-    if args.seed is not None and config.sim is None:
-        return _usage_error("bench", "--seed: the data comes from [experiment] input")
-    sim = None if args.seed is None else dataclasses.replace(config.sim, seed=args.seed)
-    # each override through the configs' own checks, named by its flag
-    for flag, name, value in (("--out", "out_dir", args.out), ("--seed", "sim", sim),
-                              ("--reps", "replications", args.reps),
-                              ("--methods", "methods", methods),
-                              ("--emit-loadings", "emit_loadings", args.emit_loadings),
-                              ("--varimax", "apply_varimax", args.varimax)):
-        if value is not None:
-            try:
-                config = dataclasses.replace(config, **{name: value})
-            except ValueError as exc:
-                return _usage_error("bench", f"{flag}: {exc}")
-    config.estimators = {m: dataclasses.replace(cfg, **_estimator_options(args))
-                         for m, cfg in config.estimators.items()}
+    flags = {("experiment", "out"): ("--out", args.out),
+             ("experiment", "replications"): ("--reps", args.reps),
+             ("experiment", "methods"): ("--methods", args.methods),
+             ("experiment", "emit_loadings"): ("--emit-loadings", args.emit_loadings),
+             ("experiment", "varimax"): ("--varimax", args.varimax),
+             ("simulation", "seed"): ("--seed", args.seed),
+             **{("estimator", key): (flag, getattr(args, name))
+                for name, (key, flag, *_) in OPTIONS.items()}}
+    try:  # each flag given takes the place of its [section] key
+        config = parse_experiment_config(args.config, flags)
+    except ValueError as exc:  # named by its flag, its [section] key or the file
+        return _usage_error("bench", exc)
     reports = run_experiment(config)
     failures = sum(1 for r in reports if r.error is not None)
     print(f"wrote {config.out_dir}/results.csv "

@@ -448,26 +448,24 @@ def _loadings_from_spectra(ranks, k_max, systems):
 def _nondegenerate(d, es):
     """Mode d's eigensystem ``es``, if its top eigenvalue is positive."""
     if not es.values[0] > 0:
-        raise ValueError(f"degenerate spectrum: mode {d} has top "
-                         f"eigenvalue {es.values[0]:.3g}")
+        raise ValueError(f"degenerate spectrum: mode {d} has top eigenvalue "
+                         f"{es.values[0]:.3g} (a constant series, or moments "
+                         "that underflow)")
     return es
 
 
 def _check_init(init, dims, name="init"):
-    """A loadings argument ``init``, named ``name``, as float matrices checked
-    before any pass: one per mode of ``p_d`` rows, finite, full column rank."""
+    """A loadings argument ``init``, named ``name``, checked before any pass:
+    one :func:`~tensor._matrix` per mode, of ``p_d`` rows and full column rank."""
     if init is None:
         return None
-    init = [np.asarray(a, dtype=float) for a in init]
+    init = [_matrix(a, f"{name} for mode {d}") for d, a in enumerate(init)]
     if len(init) != len(dims):
         raise ValueError(f"{name} has {len(init)} matrices for {len(dims)} modes")
     for d, (a, p_d) in enumerate(zip(init, dims)):
-        if a.ndim != 2 or a.shape[0] != p_d or a.shape[1] < 1:
+        if a.shape[0] != p_d or np.linalg.matrix_rank(a) < a.shape[1]:
             raise ValueError(f"{name} for mode {d} has shape {a.shape}; it needs "
-                             f"{p_d} rows and at least one column")
-        if not np.isfinite(a).all() or np.linalg.matrix_rank(a) < a.shape[1]:
-            raise ValueError(f"{name} for mode {d} is not finite and of full "
-                             "column rank")
+                             f"{p_d} rows and full column rank")
     return init
 
 

@@ -24,7 +24,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -315,9 +315,14 @@ def _agg(values, fn):
     return float(fn(values)) if values else None
 
 
+def _words(text):
+    """The comma- or space-separated words of ``text``."""
+    return text.replace(",", " ").split()
+
+
 def _ints(text):
     """A comma- or space-separated list of at least one integer."""
-    values = text.replace(",", " ").split()
+    values = _words(text)
     if not values or not all(v.lstrip("+-").isdigit() for v in values):
         raise ValueError(f"not a list of integers: {text!r}")
     return tuple(map(int, values))
@@ -357,78 +362,84 @@ def _parse_option(name, text):
     return value
 
 
-def _read(parser, section, key, parse, default=None):
-    """``[section] key`` of ``parser`` through ``parse``, or ``default`` when
-    absent; a value that fails raises a ValueError naming the key."""
-    if section not in parser or key not in parser[section]:
+def _experiment_value(name, value, **others):
+    """``value`` of ExperimentConfig's ``name``, checked beside ``others``."""
+    ExperimentConfig(**{"methods": ["mopca"], "input_path": "", **others, name: value})
+    return value
+
+
+def _read(parser, flags, section, key, parse, default=None, check=lambda value: value):
+    """``check`` of the flag's value given in place of ``[section] key``, or of
+    the key through ``parse``, else ``default``; an error names flag or key."""
+    flag, value = flags.get((section.partition(".")[0], key), (None, None))
+    if flag is None and not parser.has_option(section, key):
         return default
     try:
-        return parse(parser[section][key])
+        return check(parse(parser[section][key]) if flag is None else value)
     except ValueError as exc:
-        raise ValueError(f"[{section}] {key}: {exc}") from None
+        raise ValueError(f"{flag or f'[{section}] {key}'}: {exc}") from None
 
 
-def _estimator_from_section(parser, section, base: EstimatorConfig, method: str):
-    return replace(base, method=method, **{
-        name: _read(parser, section, key, partial(_parse_option, name))
-        for name, (key, *_) in OPTIONS.items()
-        if section in parser and key in parser[section]})
+def _estimator_from_section(read, section, base: EstimatorConfig, method: str):
+    return EstimatorConfig(method=method, **{
+        name: read(section, key, partial(_parse_option, name), getattr(base, name))
+        for name, (key, *_) in OPTIONS.items()})
 
 
-def parse_experiment_config(path) -> ExperimentConfig:
+def parse_experiment_config(path, flags=None) -> ExperimentConfig:
     """Read an experiment description from a key-value config file.
 
     The file uses INI-style sections: ``[experiment]`` (methods,
     replications, seed, out, input, emit_loadings, varimax),
     ``[simulation]`` (T, dims, ranks, phi, psi or scenario, seed) and
     ``[estimator]`` plus optional ``[estimator.<method>]`` overrides, whose
-    keys are those of :data:`OPTIONS`.  A value that cannot be parsed or
-    fails validation raises a ValueError naming its ``[section] key``.
+    keys are those of :data:`OPTIONS`.  ``flags`` maps ``(section, key)`` to
+    ``(flag, parsed value or None)``; a value takes the key's place (an
+    ``[estimator]`` key's in every ``[estimator.<method>]`` too) before
+    anything reads it.  A value that cannot be parsed or fails validation
+    raises a ValueError naming its flag, its ``[section] key`` or the file.
     """
+    flags = {key: given for key, given in (flags or {}).items() if given[1] is not None}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
     if "experiment" not in parser:
-        raise ValueError("config file is missing the [experiment] section")
-    exp = parser["experiment"]
-    methods = [m.strip() for m in exp.get("methods", "mopca").replace(",", " ").split()]
-    seed = _read(parser, "experiment", "seed", int, 0)
+        raise ValueError(f"{path}: config file is missing the [experiment] section")
+    read = partial(_read, parser, flags)
     sim = None
     if "simulation" in parser:
-        phi = _read(parser, "simulation", "phi", float, 0.0)
-        psi = _read(parser, "simulation", "psi", float, 0.0)
-        name = _read(parser, "simulation", "scenario", str.strip)
-        if name is not None:
-            if name not in SCENARIOS:
-                raise ValueError(f"[simulation] scenario: unknown scenario {name!r}")
-            phi, psi = SCENARIOS[name]
-        for key in ("T", "dims"):
-            if key not in parser["simulation"]:
-                raise ValueError(f"[simulation] {key}: missing (it has no default)")
+        phi = read("simulation", "phi", float, 0.0)
+        psi = read("simulation", "psi", float, 0.0)
+        name = read("simulation", "scenario", str.strip)
+        if name is not None and name not in SCENARIOS:
+            raise ValueError(f"[simulation] scenario: unknown scenario {name!r}")
+        phi, psi = SCENARIOS.get(name, (phi, psi))
+        if missing := [k for k in ("T", "dims") if k not in parser["simulation"]]:
+            raise ValueError(f"[simulation] {missing[0]}: missing (it has no default)")
+        seed = read("simulation", "seed", int)
+        args = (read("simulation", "T", int), read("simulation", "dims", _ints),
+                read("simulation", "ranks", _ints, (2, 3, 4)), phi, psi,
+                read("experiment", "seed", int, 0) if seed is None else seed)
         try:
-            sim = SimConfig(
-                T=_read(parser, "simulation", "T", int),
-                dims=_read(parser, "simulation", "dims", _ints),
-                ranks=_read(parser, "simulation", "ranks", _ints, (2, 3, 4)),
-                phi=phi,
-                psi=psi,
-                seed=_read(parser, "simulation", "seed", int, seed),
-            )
+            sim = SimConfig(*args)
         except ValueError as exc:
             raise ValueError(f"[simulation]: {exc}") from None
-    base = _estimator_from_section(parser, "estimator", EstimatorConfig(), "mopca")
+    elif ("simulation", "seed") in flags:
+        raise ValueError(f"{flags['simulation', 'seed'][0]}: no [simulation] to seed")
+    methods = read("experiment", "methods", _words, ["mopca"],
+                   partial(_experiment_value, "methods"))
+    replications = read("experiment", "replications", int, 1,
+                        partial(_experiment_value, "replications"))
+    emit_loadings = read("experiment", "emit_loadings", _boolean, False)
+    varimax = read("experiment", "varimax", _boolean, False, partial(
+        _experiment_value, "apply_varimax", emit_loadings=emit_loadings))
+    base = _estimator_from_section(read, "estimator", EstimatorConfig(), "mopca")
     # every method's config, so a --methods override keeps [estimator]
-    estimators = {method: _estimator_from_section(parser, f"estimator.{method}",
-                                                  base, method)
-                  for method in METHODS}
-    return ExperimentConfig(
-        methods=methods,
-        replications=_read(parser, "experiment", "replications", int, 1),
-        out_dir=exp.get("out", "."),
-        sim=sim,
-        input_path=exp.get("input", None),
-        estimators=estimators,
-        emit_loadings=_read(parser, "experiment", "emit_loadings", _boolean, False),
-        apply_varimax=_read(parser, "experiment", "varimax", _boolean, False),
-    )
+    estimators = {m: _estimator_from_section(read, f"estimator.{m}", base, m)
+                  for m in METHODS}
+    try:
+        return ExperimentConfig(
+            methods, replications, read("experiment", "out", str, "."), sim,
+            read("experiment", "input", str), estimators, emit_loadings, varimax)
+    except ValueError as exc:  # sim and input_path together, which no key holds
+        raise ValueError(f"{path}: {exc}") from None

@@ -11,6 +11,7 @@ from conftest import (
 )
 from tuckerfactor import (
     EstimatorConfig,
+    SimConfig,
     baseline,
     cli,
     estimate_ranks,
@@ -27,6 +28,7 @@ from tuckerfactor import (
     simulate_dataset,
     tensor,
     top_k_eigensystem,
+    varimax,
     write_loadings,
     write_tensor_series,
 )
@@ -308,13 +310,15 @@ class TestOneCopyPipeline:
 
 
 class TestReconstructLoadingsChecked:
-    """Saved loadings that are not finite and of full column rank exit with
-    the numeric-error code, naming the mode, before any output."""
+    """Saved loadings that are not finite, or not of full column rank, exit
+    with the numeric-error code, naming the mode, before any output."""
 
-    @pytest.mark.parametrize("mode, index, value", [
-        (1, (0, 0), np.nan), (2, ..., 0.0),
+    @pytest.mark.parametrize("mode, index, value, message", [
+        (1, (0, 0), np.nan, "has non-finite entries"),
+        (2, ..., 0.0, "has shape (4, 2); it needs 4 rows and full column rank"),
     ], ids=["nan-A2", "zero-A3"])
-    def test_bad_loadings_exit_numeric(self, tmp_path, capsys, mode, index, value):
+    def test_bad_loadings_exit_numeric(self, tmp_path, capsys, mode, index, value,
+                                       message):
         rng = np.random.default_rng(0)
         path = tmp_path / "data.tnsf"
         write_tensor_series(path, rng.standard_normal((10, 6, 5, 4)))
@@ -325,7 +329,7 @@ class TestReconstructLoadingsChecked:
         assert main(["reconstruct", str(path), "--loadings", str(tmp_path / "bad"),
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"loadings for mode {mode} is not finite and of full column rank" in err
+        assert f"loadings for mode {mode} {message}" in err
         assert not out.exists()
 
 
@@ -497,8 +501,7 @@ class TestBenchOverrides:
     @pytest.mark.parametrize("extra, flags, name", [
         ("", ["--varimax"], "--varimax:"),
         ("varimax = true\n", [], "varimax"),
-        ("varimax = true\n", ["--emit-loadings"], "varimax"),
-    ], ids=["flag", "config", "config-and-flag"])
+    ], ids=["flag", "config"])
     def test_varimax_without_loadings_is_usage_error(self, tmp_path, capsys,
                                                      extra, flags, name):
         # varimax rotates the emitted loadings: without them it would do nothing
@@ -514,7 +517,8 @@ class TestBenchOverrides:
     @pytest.mark.parametrize("extra, flags", [
         ("", ["--varimax", "--emit-loadings"]),
         ("emit_loadings = true\n", ["--varimax"]),
-    ], ids=["flags", "config-and-flag"])
+        ("varimax = true\n", ["--emit-loadings"]),
+    ], ids=["flags", "config-and-flag", "config-varimax-and-flag"])
     def test_varimax_with_loadings_runs(self, tmp_path, extra, flags):
         out = tmp_path / "results"
         cfg = tmp_path / "bench.cfg"
@@ -522,7 +526,15 @@ class TestBenchOverrides:
             methods=f"mopca\n{extra}", out=out))
         assert main(["bench", str(cfg), *flags]) == 0
         assert (out / "results.csv").exists()
-        assert len(list((out / "loadings").iterdir())) == 2
+        # each emitted loading is the rotation of its fit's
+        series, _ = simulate_dataset(SimConfig(T=10, dims=(6, 6), ranks=(2, 2)), 0)
+        fit = METHODS["mopca"].fit(series, EstimatorConfig(), None)
+        assert sorted(p.name for p in (out / "loadings").iterdir()) == [
+            "rep000_mopca_A1.csv", "rep000_mopca_A2.csv"]
+        for d, a in enumerate(fit.loadings):
+            saved = np.loadtxt(out / "loadings" / f"rep000_mopca_A{d + 1}.csv",
+                               delimiter=",")
+            np.testing.assert_allclose(saved, varimax(a)[0], rtol=0, atol=1e-12)
 
     def test_seed_on_input_data_is_usage_error(self, tmp_path, capsys, monkeypatch, rng):
         # a file's data has no seed to override
@@ -537,6 +549,83 @@ class TestBenchOverrides:
         assert "--seed:" in capsys.readouterr().err
         assert seen == [] and not out.exists()
         assert main(["bench", str(cfg)]) == 0 and len(seen) == 1  # without it, runs
+
+
+class TestBenchOnePath:
+    """Each ``bench`` flag takes the place of its ``[section] key`` before
+    anything reads that key, so the file's value is never parsed or checked,
+    and an error names the source of the value it rejects."""
+
+    CONFIG = ("[experiment]\nmethods = {methods}\nout = {out}\n{experiment}\n"
+              "[simulation]\nT = 10\ndims = 6, 6\nranks = 2, 2\n{simulation}\n"
+              "[estimator]\nranks = 2, 2\n{estimator}\n[estimator.itipup]\n{itipup}\n")
+
+    def bench(self, tmp_path, flags, **lines):
+        fields = {"methods": "mopca, itipup", "experiment": "", "simulation": "",
+                  "estimator": "", "itipup": "", **lines}
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(self.CONFIG.format(out=tmp_path / "results", **fields))
+        return main(["bench", str(cfg), *flags])
+
+    @pytest.mark.parametrize("flags, lines", [
+        (["--reps", "1"], {"experiment": "replications = 0"}),
+        (["--kmax", "3"], {"estimator": "kmax = 0"}),
+        (["--lags", "2"], {"itipup": "lags = 0"}),
+        (["--kmax", "3"], {"estimator": "kmax = abc"}),
+        (["--kmax", "3"], {"itipup": "kmax = abc"}),
+        (["--seed", "6"], {"experiment": "seed = abc"}),
+        (["--methods", "mopca"], {"methods": "magic"}),
+    ], ids=["reps", "kmax", "lags", "kmax-unparsed", "method-kmax-unparsed",
+            "seed-unparsed", "methods"])
+    def test_a_flag_replaces_a_file_value_that_fails(self, tmp_path, capsys, flags,
+                                                     lines):
+        assert self.bench(tmp_path, flags, **lines) == 0
+        assert "0 failures" in capsys.readouterr().out
+        assert (tmp_path / "results" / "results.csv").exists()
+
+    def test_a_flag_beats_every_key_it_replaces(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert self.bench(tmp_path, ["--tol", "1e-3", "--seed", "6", "--reps", "2"],
+                          experiment="seed = 4\nreplications = 3",
+                          simulation="seed = 5", estimator="tol = 1e-2",
+                          itipup="tol = 1e-4\nlags = 2") == 0
+        assert seen[0].sim.seed == 6 and seen[0].replications == 2
+        assert seen[0].estimators["itipup"] == EstimatorConfig(
+            method="itipup", ranks=(2, 2), tol=1e-3, lags=2)
+        assert seen[0].estimators["mopca"] == EstimatorConfig(ranks=(2, 2), tol=1e-3)
+
+    def test_the_seed_flag_beats_the_experiment_seed(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: seen.append(config) or [])
+        assert self.bench(tmp_path, [], experiment="seed = 4") == 0
+        assert self.bench(tmp_path, ["--seed", "6"], experiment="seed = 4") == 0
+        assert [config.sim.seed for config in seen] == [4, 6]
+
+    @pytest.mark.parametrize("flags, lines, source", [
+        (["--out", "x"], {"experiment": "replications = 0"},
+         "[experiment] replications: replications must be at least 1"),
+        (["--emit-loadings"], {"experiment": "replications = 0"},
+         "[experiment] replications: replications must be at least 1"),
+        (["--reps", "2"], {"methods": ","},
+         "[experiment] methods: at least one method is required"),
+        (["--methods", "mopca"], {"estimator": "kmax = 0"},
+         "[estimator] kmax: k_max must be at least 1, got 0"),
+        (["--kmax", "3"], {"itipup": "lags = 0"},
+         "[estimator.itipup] lags: lags must be at least 1"),
+        (["--reps", "0"], {"experiment": "replications = 2"},
+         "--reps: replications must be at least 1"),
+        (["--varimax"], {"experiment": "emit_loadings = false"},
+         "--varimax: varimax rotates emitted loadings: it needs emit_loadings"),
+    ], ids=["file-reps", "file-reps-2", "file-methods", "file-kmax", "file-lags",
+            "flag-reps", "flag-varimax"])
+    def test_an_error_names_the_source_of_its_value(self, tmp_path, capsys, flags,
+                                                    lines, source):
+        assert self.bench(tmp_path, flags, **lines) == 1
+        assert f"tuckerfactor bench: error: {source}" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
 
 class TestTypedErrorExitCodes:

@@ -387,12 +387,14 @@ class TestInitChecked:
 
     @pytest.mark.parametrize("fit_fn", [pmopca_fit, ipmopca_fit, ranks_of_loadings])
     @pytest.mark.parametrize("mode, bad, message", [
-        (1, np.ones((5, 2)), "mode 1 is not finite and of full column rank"),
-        (2, np.zeros((4, 1)), "mode 2 is not finite and of full column rank"),
+        (1, np.ones((5, 2)), "mode 1 has shape \\(5, 2\\); it needs 5 rows and full "
+                             "column rank"),
+        (2, np.zeros((4, 1)), "mode 2 has shape \\(4, 1\\); it needs 4 rows and full "
+                              "column rank"),
         (0, np.ones((5, 2)), "mode 0 has shape \\(5, 2\\); it needs 6 rows"),
-        (2, np.ones(4), "mode 2 has shape \\(4,\\)"),
-        (1, np.zeros((5, 0)), "mode 1 has shape .* at least one column"),
-        (0, np.full((6, 2), np.nan), "mode 0 is not finite and of full column rank"),
+        (2, np.ones(4), "mode 2 must be a matrix, got shape \\(4,\\)"),
+        (1, np.zeros((5, 0)), "mode 1 is empty, got shape \\(5, 0\\)"),
+        (0, np.full((6, 2), np.nan), "mode 0 has non-finite entries"),
     ])
     def test_bad_matrix_names_its_mode(self, monkeypatch, rng, fit_fn, mode, bad,
                                        message):
@@ -457,6 +459,27 @@ class TestLoadingsChecked:
         monkeypatch.setattr(tensor, "mode_product", no_product)
         with pytest.raises(ValueError, match="^loadings"):
             call(x, self.BAD[bad](loadings))
+
+
+class TestLoadingsAreRealMatrices:
+    """``init`` and ``loadings`` pass the package's matrix rule, mode by mode,
+    so a complex or an empty matrix fails by name, not with a cast warning."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda x, a: pmopca_fit(x, (2, 2), a), "init"),
+        (lambda x, a: ipmopca_fit(x, (2, 2), a), "init"),
+        (lambda x, a: extract_factors(x, a), "loadings"),
+        (lambda x, a: projected_series(x, a, 1), "loadings"),
+    ], ids=["pmopca_fit", "ipmopca_fit", "extract_factors", "projected_series"])
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda a: a * (1 + 1j), "must be real, got complex entries"),
+        (lambda a: a[:0], "is empty, got shape \\(0, 2\\)"),
+    ], ids=["complex", "empty"])
+    def test_fails_by_name(self, rng, call, name, spoil, message):
+        x = rng.standard_normal((10, 5, 4))
+        loadings = [spoil(np.eye(5)[:, :2]), np.eye(4)[:, :2]]
+        with pytest.raises(ValueError, match=f"^{name} for mode 0 {message}"):
+            call(x, loadings)
 
 
 GATE_DIMS = (6, 5, 4)
@@ -624,6 +647,12 @@ class TestTypedErrors:
     def test_degenerate_lag_spectrum_with_explicit_ranks(self):
         with pytest.raises(ValueError, match="degenerate spectrum: mode 0"):
             itipup_fit(np.ones((5, 4, 3)), (1, 1))
+
+    @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
+    def test_underflow_is_named(self, rng, fit_fn):
+        # not degenerate data: its moments underflow to zero
+        with pytest.raises(ValueError, match="degenerate spectrum: mode 0 .*underflow"):
+            fit_fn(rng.standard_normal((10, 5, 4)) * 1e-200)
 
     @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
     def test_auto_ranks_on_a_size_one_mode(self, rng, fit_fn):

@@ -299,6 +299,24 @@ ranks = 2,2,2
         with pytest.raises(ValueError, match=line.split()[0]):
             parse_experiment_config(path)
 
+    def test_flags_take_the_place_of_their_keys(self, tmp_path):
+        # the file's values that the flags replace would each fail if read
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nmethods = magic\nreplications = 0\nseed = x\n"
+                        "[simulation]\nT = 5\ndims = 4, 4\nranks = 2, 2\nseed = x\n"
+                        "[estimator]\nkmax = abc\n[estimator.itipup]\nkmax = 0\n")
+        flags = {("experiment", "methods"): ("--methods", ["itipup"]),
+                 ("experiment", "replications"): ("--reps", 2),
+                 ("simulation", "seed"): ("--seed", 3),
+                 ("estimator", "kmax"): ("--kmax", 2)}
+        config = parse_experiment_config(path, flags)
+        assert config.methods == ["itipup"] and config.replications == 2
+        assert config.sim.seed == 3
+        assert {cfg.k_max for cfg in config.estimators.values()} == {2}
+        flags["experiment", "replications"] = ("--reps", 0)
+        with pytest.raises(ValueError, match="^--reps: replications must be at least 1"):
+            parse_experiment_config(path, flags)
+
     def test_missing_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[other]\nx = 1\n")

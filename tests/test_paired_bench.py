@@ -1,7 +1,8 @@
-"""Tests for the summary of ``tools/paired_bench.py``."""
+"""Tests of ``tools/paired_bench.py``: its summary, its runs and its exports."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -178,10 +179,11 @@ def test_src_lines_counts_as_wc(tmp_path):
 
 def test_both_trees_line_counts_are_recorded_and_printed(tmp_path, monkeypatch, capsys):
     def fake_subprocess_run(argv, **kwargs):
-        if argv[0] == "tar":  # the parent tree: one package file of two lines
+        if argv[0] == "tar":  # each export: one package file, of 2 or 3 lines
             package = Path(argv[-1]) / "src" / "tuckerfactor"
             package.mkdir(parents=True)
-            (package / "a.py").write_text("x = 1\ny = 2\n")
+            change = Path(argv[-1]).name == "change"
+            (package / "a.py").write_text("x = 1\ny = 2\n" + "z = 3\n" * change)
         return SimpleNamespace(stdout=b"" if argv[:2] == ["git", "archive"] else "abc\n")
 
     monkeypatch.setattr(paired_bench.subprocess, "run", fake_subprocess_run)
@@ -191,12 +193,9 @@ def test_both_trees_line_counts_are_recorded_and_printed(tmp_path, monkeypatch, 
     out = tmp_path / "pairs.json"
     assert paired_bench.main(["--workload", "files", "--parent", "HEAD", "--seeds", "1",
                               "--out", str(out)]) == 0
-    change = paired_bench.src_lines(paired_bench.ROOT)
-    assert change > 0
     report = json.loads(out.read_text())
-    assert report["src_lines"] == {"parent": 2, "change": change, "delta": change - 2}
-    assert (f"src/tuckerfactor/*.py lines: parent 2 -> change {change} ({change - 2:+d})"
-            in capsys.readouterr().out)
+    assert report["src_lines"] == {"parent": 2, "change": 3, "delta": 1}
+    assert "src/tuckerfactor/*.py lines: parent 2 -> change 3 (+1)" in capsys.readouterr().out
 
 
 def test_both_trees_digests_are_recorded_and_the_groups_that_differ_printed(
@@ -205,7 +204,7 @@ def test_both_trees_digests_are_recorded_and_the_groups_that_differ_printed(
         if argv[0] == "tar":
             return SimpleNamespace()
         if argv[1:2] == [str(paired_bench.ROOT / "tools" / "digest.py")]:
-            change = argv[-1] == str(paired_bench.ROOT / "src")
+            change = Path(argv[-1]).parent.name == "change"
             return SimpleNamespace(stdout=f"fits 1\ncli {3 if change else 2}\n")
         return SimpleNamespace(stdout=b"" if argv[:2] == ["git", "archive"] else "abc\n")
 
@@ -220,3 +219,42 @@ def test_both_trees_digests_are_recorded_and_the_groups_that_differ_printed(
         "parent": {"fits": "1", "cli": "2"}, "change": {"fits": "1", "cli": "3"},
         "equal": False}
     assert "digest: differs in cli" in capsys.readouterr().out
+
+
+def test_the_change_runs_from_a_fresh_export_of_the_working_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                       cwd=repo, check=True, capture_output=True)
+
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "edited.txt").write_text("committed\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "edited.txt").write_text("uncommitted\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    names = ("edited.txt", "untracked.txt", "ignored.txt")
+    seen = {}
+
+    def fake_run(root, workload, seed, seconds):
+        seen[Path(root).name] = (Path(root), {
+            name: (Path(root) / name).read_text() for name in names
+            if (Path(root) / name).exists()})
+        return {"metrics": {}, "cpu_s": 1.0, "wall_s": 1.0}
+
+    monkeypatch.setattr(paired_bench, "ROOT", repo)
+    monkeypatch.setattr(paired_bench, "digest", lambda root: {})
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    assert paired_bench.main(["--workload", "w", "--parent", "HEAD", "--seeds", "1",
+                              "--out", str(tmp_path / "pairs.json")]) == 0
+    assert seen["change"][0] != repo and seen["parent"][0] != repo
+    assert seen["change"][1] == {"edited.txt": "uncommitted\n", "untracked.txt": "new\n"}
+    assert seen["parent"][1] == {"edited.txt": "committed\n"}
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=repo, check=True,
+                            capture_output=True, text=True).stdout
+    assert status == " M edited.txt\n?? untracked.txt\n"  # the index as it was

@@ -5,10 +5,12 @@ Usage, from the root of a checkout:
     python3 tools/paired_bench.py --workload study-small --parent HEAD~1 \\
         --seeds 1-10 --held-out 4242
 
-The parent is exported with ``git archive`` into a temporary directory.
-For each seed, ``perfbench/run.py`` runs once there and once in the
-working tree, alternating which side goes first (the parent first in
-the first pair), with the run length of ``BENCHMARK.json`` unless
+The parent and the working tree are each exported with ``git archive``
+into a fresh temporary directory: the working tree as HEAD's files with
+their uncommitted edits, plus the untracked files git does not ignore,
+through a temporary index file.  For each seed, ``perfbench/run.py`` runs
+once in each export, alternating which side goes first (the parent first
+in the first pair), with the run length of ``BENCHMARK.json`` unless
 ``--seconds`` says otherwise.  Held-out seeds run the same way after the
 others and are kept apart from the summary.
 
@@ -27,7 +29,7 @@ parent's, and ``ok``, ``regressed`` (worse by more than the bound) or
 every change run beats every parent run).  It also records the line
 count of ``src/tuckerfactor/*.py`` in both trees, as ``wc -l`` counts
 it, and their difference under ``src_lines``, and the output digests of
-``tools/digest.py`` for both trees' ``src`` under ``digest`` (``parent``,
+``tools/digest.py`` for both exports' ``src`` under ``digest`` (``parent``,
 ``change``, and ``equal`` when every group matches).  The
 file is written again after every pair, so an interrupted script keeps
 its finished pairs.  A failed run stops the script with exit status 1;
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import statistics
 import subprocess
@@ -159,9 +162,29 @@ def cpu_per_wall(pairs):
             for side in ("parent", "change") if pairs}
 
 
-def run_pairs(parent_root, workload, seeds, held_out, seconds, report, save):
+def export(rev, dest):
+    """Extract the tree of commit or tree ``rev`` of ``ROOT`` into ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def working_tree(index):
+    """The git tree of ``ROOT``'s working files, written through the index
+    file ``index``, so the repository's own index is left as it is: HEAD's
+    files with the working tree's edits, and the untracked files git does
+    not ignore."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    for command in (["read-tree", "HEAD"], ["add", "-A"]):
+        subprocess.run(["git", *command], cwd=ROOT, env=env, check=True)
+    return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_pairs(trees, workload, seeds, held_out, seconds, report, save):
     """Append the pairs of ``seeds`` to ``report["pairs"]``, then those of
-    ``held_out`` to ``report["held_out"]``, calling ``save()`` after each.
+    ``held_out`` to ``report["held_out"]``, calling ``save()`` after each;
+    each side runs in its export, ``trees/parent`` or ``trees/change``.
 
     A failed run stops the runs: its error goes to ``report["failed"]``,
     which is saved, and False is returned.
@@ -172,8 +195,7 @@ def run_pairs(parent_root, workload, seeds, held_out, seconds, report, save):
         pair = {"seed": seed, "order": list(order)}
         try:
             for side in order:
-                pair[side] = run_once(parent_root if side == "parent" else ROOT,
-                                      workload, seed, seconds)
+                pair[side] = run_once(Path(trees) / side, workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
         except RuntimeError as err:
@@ -217,12 +239,13 @@ def main(argv=None) -> int:
         out.write_text(json.dumps(report, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        lines = report["src_lines"] = {"parent": src_lines(tmp), "change": src_lines(ROOT)}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, rev in (("parent", sha), ("change", working_tree(Path(tmp) / "index"))):
+            trees[side].mkdir()
+            export(rev, trees[side])
+        lines = report["src_lines"] = {side: src_lines(trees[side]) for side in trees}
         lines["delta"] = lines["change"] - lines["parent"]
-        digests = report["digest"] = {"parent": digest(tmp), "change": digest(ROOT)}
+        digests = report["digest"] = {side: digest(trees[side]) for side in trees}
         digests["equal"] = digests["parent"] == digests["change"]
         finished = run_pairs(tmp, args.workload, args.seeds, args.held_out,
                              args.seconds, report, save)

@@ -44,7 +44,7 @@ from .io import (
     write_tensor_series,
 )
 from .metrics import _reconstruction_sums, _relative_error
-from .simulation import SCENARIOS, SimConfig, simulate_dataset
+from .simulation import SCENARIOS, SimConfig, _stream_key, simulate_dataset
 from .tensor import _second_thread, mode_product
 
 USAGE_EXIT = 1
@@ -154,6 +154,7 @@ def _cmd_simulate(args) -> int:
     try:
         config = SimConfig(T=args.T, dims=args.dims, ranks=args.ranks, phi=phi,
                            psi=psi, seed=args.seed)
+        _stream_key(args.rep, "replication")
     except ValueError as exc:
         return _usage_error("simulate", exc)
     series, truth = simulate_dataset(config, args.rep)

@@ -119,8 +119,8 @@ def _as_series(x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim < 2:
         raise ValueError("a series must have shape (T, p_1, ..., p_D)")
-    if x.shape[0] < 1:
-        raise ValueError("series is empty")
+    if 0 in x.shape:
+        raise ValueError(f"series is empty, got shape {x.shape}")
     return x
 
 

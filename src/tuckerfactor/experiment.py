@@ -230,8 +230,8 @@ def _emit_loading_csvs(out_dir, rep, method, fit, rotate):
         np.savetxt(path, mat, delimiter=",")
 
 
-def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
-    """Run every (replication, method) pair and write the results CSV.
+def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
+    """Run every (replication, method) pair and write ``out_dir/results.csv``.
 
     Replications are processed in order, so the CSV is deterministic for
     a fixed seed apart from the ``seconds`` column.  Returns the list of
@@ -242,8 +242,6 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
         cfg = config.estimator_for(method)
         lags.setdefault(cfg.center, set()).update(METHODS[method].lags(cfg))
     os.makedirs(config.out_dir, exist_ok=True)
-    if csv_path is None:
-        csv_path = os.path.join(config.out_dir, "results.csv")
     input_series = None
     if config.input_path is not None:
         input_series = read_tensor_series(config.input_path)
@@ -280,7 +278,7 @@ def run_experiment(config: ExperimentConfig, csv_path=None) -> list[EvalReport]:
         logger.info("replication %d/%d done", rep + 1, config.replications)
 
     rows.extend(_aggregate_rows(reports, config.methods, d_count))
-    with open(csv_path, "w", newline="") as fh:
+    with open(os.path.join(config.out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
@@ -376,7 +374,7 @@ def _read(parser, flags, section, key, parse, default=None, check=lambda value: 
         return default
     try:
         return check(parse(parser[section][key]) if flag is None else value)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # or a bad %-interpolation
         raise ValueError(f"{flag or f'[{section}] {key}'}: {exc}") from None
 
 
@@ -401,8 +399,11 @@ def parse_experiment_config(path, flags=None) -> ExperimentConfig:
     """
     flags = {key: given for key, given in (flags or {}).items() if given[1] is not None}
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+    except configparser.Error as exc:  # a duplicate, or no section header first
+        raise ValueError(" ".join(str(exc).split())) from None  # it names the file
     if "experiment" not in parser:
         raise ValueError(f"{path}: config file is missing the [experiment] section")
     read = partial(_read, parser, flags)
@@ -437,9 +438,9 @@ def parse_experiment_config(path, flags=None) -> ExperimentConfig:
     # every method's config, so a --methods override keeps [estimator]
     estimators = {m: _estimator_from_section(read, f"estimator.{m}", base, m)
                   for m in METHODS}
+    out, input_path = read("experiment", "out", str, "."), read("experiment", "input", str)
     try:
-        return ExperimentConfig(
-            methods, replications, read("experiment", "out", str, "."), sim,
-            read("experiment", "input", str), estimators, emit_loadings, varimax)
+        return ExperimentConfig(methods, replications, out, sim, input_path, estimators,
+                                emit_loadings, varimax)
     except ValueError as exc:  # sim and input_path together, which no key holds
         raise ValueError(f"{path}: {exc}") from None

@@ -57,10 +57,12 @@ def write_tensor_series(path, series) -> None:
     """Write a series of equal-shape tensors to ``path``.
 
     ``series`` is an array of shape ``(T, p_1, ..., p_D)`` (or a list of
-    T equal-shape tensors) with no zero-size axis.  Values are stored as
-    little-endian f64; the round trip through :func:`read_tensor_series`
+    T equal-shape real tensors) with no zero-size axis.  Values are stored
+    as little-endian f64; the round trip through :func:`read_tensor_series`
     is bit-exact.
     """
+    if np.iscomplexobj(series):  # a cast would drop the imaginary parts
+        raise ValueError(f"cannot write complex entries to {path}: the format holds reals")
     arr = np.asarray(series, dtype=float)
     header = _header(arr.shape)
     with open(path, "wb") as fh:
@@ -74,10 +76,8 @@ def _header(shape) -> bytes:
     if len(shape) < 2:
         raise ValueError("series must have shape (T, p_1, ..., p_D)")
     t_len, dims = shape[0], shape[1:]
-    if t_len < 1:
-        raise ValueError("series is empty")
-    if any(p < 1 for p in dims):
-        raise ValueError(f"zero-size mode in series shape {tuple(shape)}")
+    if 0 in shape:
+        raise ValueError(f"series is empty, got shape {tuple(shape)}")
     if len(dims) > 255:
         raise ValueError("at most 255 modes supported")
     header = MAGIC + bytes([VERSION, len(dims), 0, 0]) + struct.pack("<Q", t_len)
@@ -176,14 +176,14 @@ def write_loadings(prefix, loadings) -> list[str]:
     Each matrix is stored as a 2-way tensor series with T = 1.  Returns
     the written paths.
     """
-    paths = []
-    for d, a in enumerate(loadings):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("loadings must be matrices")
-        path = f"{prefix}.A{d + 1}"
-        write_tensor_series(path, a[np.newaxis, :, :])
-        paths.append(path)
+    loadings = [np.asarray(a) for a in loadings]
+    for d, a in enumerate(loadings):  # all checked before any file is written
+        if a.ndim != 2 or np.iscomplexobj(a):
+            raise ValueError(f"loadings of mode {d + 1} must be a real matrix, "
+                             f"got {a.dtype} of shape {a.shape}")
+    paths = [f"{prefix}.A{d + 1}" for d in range(len(loadings))]
+    for path, a in zip(paths, loadings):
+        write_tensor_series(path, a[np.newaxis])
     return paths
 
 

@@ -46,8 +46,8 @@ DEFAULT_RANKS = (2, 3, 4)
 
 @dataclass
 class SimConfig:
-    """Parameters of one simulated dataset (or a family of replications);
-    ``T``, ``seed`` and the entries of ``dims`` and ``ranks`` take integers only."""
+    """Parameters of one simulated dataset (or a family of replications); ``T``,
+    ``seed`` (at least 0) and the entries of ``dims`` and ``ranks`` take integers only."""
 
     T: int
     dims: tuple[int, ...]
@@ -57,7 +57,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.T, self.seed = _integer(self.T, "T"), _integer(self.seed, "seed")
+        self.T, self.seed = _integer(self.T, "T"), _stream_key(self.seed, "seed")
         self.dims = tuple(_integer(p, "dims") for p in self.dims)
         self.ranks = tuple(_integer(k, "ranks") for k in self.ranks)
         if self.T < 1:
@@ -80,10 +80,6 @@ class SimTruth:
 
     loadings: list[np.ndarray]
     cores: np.ndarray
-    phi: float
-    psi: float
-    seed: int
-    replication: int = 0
 
     @cached_property
     def signals(self) -> np.ndarray:
@@ -100,10 +96,17 @@ def scenario_config(name: str, T: int, dims, ranks=DEFAULT_RANKS,
                      psi=psi, seed=seed)
 
 
+def _stream_key(value, name) -> int:
+    """``value`` as an int if a non-negative integer, else a ValueError naming ``name``."""
+    if (value := _integer(value, name)) < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
     """Independent PCG64 stream for one replication."""
     return np.random.default_rng(np.random.SeedSequence(
-        _integer(seed, "seed"), spawn_key=(_integer(replication, "replication"),)))
+        _stream_key(seed, "seed"), spawn_key=(_stream_key(replication, "replication"),)))
 
 
 def generate_loadings(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,7 +193,7 @@ def _truth(config: SimConfig, replication: int):
     rng = replication_rng(config.seed, replication)
     loadings = [generate_loadings(p, k, rng) for p, k in zip(config.dims, config.ranks)]
     cores = simulate_core_path(config.T, config.ranks, config.phi, rng)
-    return SimTruth(loadings, cores, config.phi, config.psi, config.seed, replication), rng
+    return SimTruth(loadings, cores), rng
 
 
 def simulate_dataset(config: SimConfig, replication: int = 0):

@@ -24,10 +24,10 @@ first axis, or windows of one tensor, at any tensor size, along a later
 one.  Their temporaries are a few pieces, plus one tensor: a fit's mean,
 or the simulator's pre-sample noise state.  Two threads, for tensors over
 ``_AT_ONCE_ELEMS`` when BLAS threads leave half the cores idle, else one
-in turn (:func:`_second_thread`), share the moment pass's two reads (each
-with its own ring), the simulator's draws and colouring, the halves
-(:func:`_in_halves`) of the projections' runs and of a TNSF read, and
-``cli reconstruct``'s building and writing.
+in turn (:func:`_second_thread`), share the halves of :func:`_in_halves`,
+the one fork-join (the moment pass's two reads, each with its own ring,
+the projections' runs and a TNSF read's tensors), and two pipelines: the
+simulator's draws and colouring, ``cli reconstruct``'s building and writing.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def _second_thread(x: np.ndarray):
 
 
 def _in_halves(x: np.ndarray, run, pieces) -> None:
-    """``run(part, half)`` over independent ``pieces``: with two or more, where
-    :func:`_reads_at_once` holds for ``x``, the caller runs ``run(pieces[:n], 0)``
+    """The one fork-join: ``run(part, half)`` over independent ``pieces`` (the moment
+    pass's two reads, the projections' runs, a TNSF read's tensors): with two or more,
+    where :func:`_reads_at_once` holds for ``x``, the caller runs ``run(pieces[:n], 0)``
     and a worker ``run(pieces[n:], 1)`` (n: half, rounded up); else ``run(pieces, 0)``."""
     if len(pieces) < 2 or not _reads_at_once(x):
         return run(pieces, 0)
@@ -284,9 +285,9 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     2 and D each take one BLAS call per window.  Each window is centred
     once into a ring of ``max(lags) + 1`` window buffers, which holds its
     lag partners.  A 1-way series, which :func:`_pieces` cuts into runs,
-    goes through the same loop a tensor at a time.  Each read has its own
-    ring.  The reads run at once or in turn (:func:`_second_thread`), with
-    the same bits: they write distinct modes.
+    goes through the same loop a tensor at a time.  The reads, each with its
+    own ring, are the two pieces of :func:`_in_halves`, mode 1's the caller's:
+    at once or in turn, they keep their bits, as they write distinct modes.
     """
     t_len, slots = x.shape[0], max(lags) + 1
     out = [[np.zeros((p, p)) for p in x.shape[1:]] for _ in lags]
@@ -294,37 +295,34 @@ def _mode_grams(x: np.ndarray, mean=None, lags=(0,)) -> list[list[np.ndarray]]:
     swapped = natural[:1] + natural[2:3] + natural[1:2] + natural[3:]  # mode 2 first
     passes = [(_pieces(x.shape, 2), [1], natural),
               (_pieces(x.shape, 1), range(2, x.ndim), swapped)]
-    # a pass's ring is as wide as its widest (a first or last) window
-    widths = [max(x[s[0].start][s[1:]].size for s in (pieces[0], pieces[-1]))
-              for pieces, _, _ in passes]
+    # a pass's ring is as wide as its widest (a first or last) window; the
+    # caller allocates the rings: pages a worker allocates stay resident
+    rings = [np.empty((slots, max(x[s[0].start][s[1:]].size for s in (p[0], p[-1]))))
+             for p, _, _ in passes]
 
-    def read(pieces, modes, order, ring):
-        for s in pieces if modes else ():
-            window = s[1:]
-            m = 0.0 if mean is None else mean[(np.newaxis,) + window]
-            one = (1,) + x[s[0].start][window].shape  # one tensor's window
-            held = [ring[i, :math.prod(one)].reshape([one[a] for a in order])
-                    for i in range(slots)]
-            for t in range(s[0].start, min(s[0].stop, t_len)):
-                # x - 0.0 is a copy with the bits of x; reading the series in
-                # its own order is the faster side to transpose (order is an
-                # involution)
-                np.subtract(x[(slice(t, t + 1),) + window], m,
-                            out=held[t % slots].transpose(order))
-                for h, grams in zip(lags, out):
-                    if t < h:
-                        continue
-                    # the pair (t - h, t) of this window
-                    lead, lagged = held[(t - h) % slots], held[t % slots]
-                    for mode in modes:
-                        grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
+    def read(part, half):
+        for (pieces, modes, order), ring in zip(part, rings[half:]):
+            for s in pieces if modes else ():
+                window = s[1:]
+                m = 0.0 if mean is None else mean[(np.newaxis,) + window]
+                one = (1,) + x[s[0].start][window].shape  # one tensor's window
+                held = [ring[i, :math.prod(one)].reshape([one[a] for a in order])
+                        for i in range(slots)]
+                for t in range(s[0].start, min(s[0].stop, t_len)):
+                    # x - 0.0 is a copy with the bits of x; reading the series in
+                    # its own order is the faster side to transpose (order is an
+                    # involution)
+                    np.subtract(x[(slice(t, t + 1),) + window], m,
+                                out=held[t % slots].transpose(order))
+                    for h, grams in zip(lags, out):
+                        if t < h:
+                            continue
+                        # the pair (t - h, t) of this window
+                        lead, lagged = held[(t - h) % slots], held[t % slots]
+                        for mode in modes:
+                            grams[mode - 1] += _mode_gram(lead, lagged, order.index(mode))
 
-    # the caller allocates the rings: pages a worker allocates stay resident
-    rings = [np.empty((slots, w)) for w in widths]
-    with _second_thread(x) as submit:
-        second = submit(read, *passes[1], rings[1])
-        read(*passes[0], rings[0])
-        second.result()
+    _in_halves(x, read, passes)
     return out
 
 
@@ -332,7 +330,7 @@ def multi_mode_product(
     x: np.ndarray,
     mats,
     modes=None,
-    transpose: bool | list[bool] = False,
+    transpose: bool = False,
 ) -> np.ndarray:
     """Apply a mode product for several modes in one call.
 
@@ -345,9 +343,8 @@ def multi_mode_product(
     modes : sequence of int, optional
         Modes the matrices act on; defaults to ``0, 1, ...``.  At most one
         matrix per mode.
-    transpose : bool or sequence of bool
-        Apply the transpose of the corresponding matrix.  A single flag
-        applies to every entry.
+    transpose : bool
+        Apply the transpose of every matrix.
 
     Returns
     -------
@@ -361,16 +358,12 @@ def multi_mode_product(
              else [_integer(m, "modes") for m in modes])
     if len(modes) != len(mats):
         raise ValueError("mats and modes must have equal length")
-    if isinstance(transpose, (bool, np.bool_)):
-        transpose = [bool(transpose)] * len(mats)
-    if len(transpose) != len(mats):
-        raise ValueError("transpose flags must match mats")
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate mode in multi_mode_product: {modes}")
     out = x
-    for mat, mode, flip in zip(mats, modes, transpose):
+    for mat, mode in zip(mats, modes):
         mat = np.asarray(mat)
-        out = mode_product(out, mat.T if flip else mat, mode)
+        out = mode_product(out, mat.T if transpose else mat, mode)
     return out
 
 

@@ -743,6 +743,47 @@ class TestTypedErrorExitCodes:
         assert not (tmp_path / "fit.A1").exists()
 
 
+class TestUnreadableConfig:
+    """A config file that ``configparser`` rejects is a usage error on one
+    line, naming the file, or the ``[section] key`` whose value it cannot
+    interpolate, once."""
+
+    @pytest.mark.parametrize("text, source", [
+        ("[experiment]\nmethods = mopca\nmethods = pmopca\n",
+         "'{cfg}' [line 3]: option 'methods' in section 'experiment' already exists"),
+        ("methods = mopca\n[experiment]\n", "file: '{cfg}', line: 1"),
+        ("[experiment]\nmethods = mopca\nout = res%x\n",
+         "[experiment] out: '%' must be followed by '%' or '('"),
+    ], ids=["duplicate-key", "no-section-header", "bad-interpolation"])
+    def test_usage_error(self, tmp_path, capsys, text, source):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(text)
+        assert main(["bench", str(cfg)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("tuckerfactor bench: error: ")
+        assert source.format(cfg=cfg) in line
+        assert line.count(str(cfg)) + line.count("[experiment] out") == 1
+
+
+class TestNegativeSeeds:
+    """A negative seed or replication fails by name, with the usage code."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["simulate", "--rep", "-1"], "replication must be non-negative, got -1"),
+        (["bench"], "[simulation]: seed must be non-negative, got -1"),
+    ], ids=["simulate-seed", "simulate-rep", "bench-seed"])
+    def test_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"[experiment]\nout = {out}\n[simulation]\nT = 5\n"
+                       "dims = 4, 4\nranks = 1, 1\nseed = -1\n")
+        argv = argv + ([str(cfg)] if argv == ["bench"] else ["--out", str(out)])
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestExitCodes:
     def test_unknown_method_is_usage_error(self, noiseless_file):
         rc = main(["estimate", noiseless_file, "--method", "magic",

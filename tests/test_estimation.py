@@ -654,6 +654,14 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="degenerate spectrum: mode 0 .*underflow"):
             fit_fn(rng.standard_normal((10, 5, 4)) * 1e-200)
 
+    @pytest.mark.parametrize("call", FITS_AND_SELECTOR + [
+        series_moments, lambda x: mode_covariance(x, 0), lambda x: tipup_mode_matrix(x, 0)],
+        ids=[f.__name__ for f in FITS_AND_SELECTOR + [series_moments]]
+        + ["mode_covariance", "tipup_mode_matrix"])
+    def test_an_empty_mode(self, call):
+        with pytest.raises(ValueError, match=r"^series is empty, got shape \(5, 0, 3\)$"):
+            call(np.zeros((5, 0, 3)))
+
     @pytest.mark.parametrize("fit_fn", FITS_AND_SELECTOR)
     def test_auto_ranks_on_a_size_one_mode(self, rng, fit_fn):
         with pytest.raises(ValueError, match="mode 1 of dims \\(6, 1, 4\\) has size 1"):

@@ -99,3 +99,22 @@ def test_non_integers_rejected_before_any_work(no_kernels, name, call, value):
 @pytest.mark.parametrize("name, call", CASES, ids=IDS)
 def test_integers_accepted(name, call, integer):
     call(integer(2), np.random.default_rng(0))
+
+
+# (argument, call): a seed or replication keys a SeedSequence, which takes
+# non-negative integers only
+NEGATIVE = [
+    ("seed", lambda v: SimConfig(T=5, dims=(4, 4), ranks=(1, 1), seed=v)),
+    ("seed", lambda v: replication_rng(v)),
+    ("replication", lambda v: replication_rng(0, v)),
+    ("replication", lambda v: simulation.simulate_dataset(SIM, v)),
+    ("seed", lambda v: simulation.noiseless_dataset(3, (4, 4), (1, 1), seed=v)),
+]
+
+
+@pytest.mark.parametrize("value", [-1, np.int64(-3)], ids=["int", "int64"])
+@pytest.mark.parametrize("name, call", NEGATIVE,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(NEGATIVE)])
+def test_negative_seeds_rejected_by_name(no_kernels, name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
+        call(value)

@@ -239,3 +239,26 @@ class TestLoadings:
         (tmp_path / "fit.A3.bak").write_bytes(b"")
         (tmp_path / "fit.Ax").write_bytes(b"")
         assert len(read_loadings(prefix)) == 2
+
+
+class TestComplexRefused:
+    """The format holds reals: a complex series or loading matrix fails by
+    name and leaves no file, where a cast would drop its imaginary parts."""
+
+    def test_series(self, tmp_path):
+        path = tmp_path / "series.tnsf"
+        with pytest.raises(ValueError, match="cannot write complex entries to .*series"):
+            write_tensor_series(path, np.ones((3, 2, 2)) * (1 + 1j))
+        assert not path.exists()
+
+    def test_loadings_name_their_mode(self, tmp_path):
+        with pytest.raises(ValueError, match="loadings of mode 2 must be a real matrix, "
+                                             "got complex128"):
+            write_loadings(tmp_path / "fit", [np.ones((4, 2)), np.ones((3, 2)) * 1j])
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_is_written(self, tmp_path):
+        # reconstruct checks loadings itself, so NaN ones must reach the file
+        a = np.full((4, 2), np.nan)
+        write_loadings(tmp_path / "fit", [a])
+        assert np.isnan(read_loadings(tmp_path / "fit")[0]).all()

@@ -8,6 +8,8 @@ baseline, a simulation engine, evaluation metrics, and a binary file
 format with a small CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baseline import estimate_ranks_tipup, itipup_fit, tipup_mode_matrix
 from .estimation import (
     FactorFit,
@@ -77,59 +79,7 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadMagicError",
-    "EstimatorConfig",
-    "EvalReport",
-    "ExperimentConfig",
-    "FactorFit",
-    "PayloadSizeError",
-    "SCENARIOS",
-    "SeriesMoments",
-    "SimConfig",
-    "SimTruth",
-    "TensorSeriesFormatError",
-    "VersionMismatchError",
-    "column_space_distance",
-    "estimate_ranks",
-    "estimate_ranks_tipup",
-    "extract_factors",
-    "fold",
-    "frobenius_norm",
-    "generate_loadings",
-    "ipmopca_fit",
-    "itipup_fit",
-    "kronecker",
-    "mode_covariance",
-    "mode_product",
-    "mopca_fit",
-    "multi_mode_product",
-    "noiseless_dataset",
-    "parse_experiment_config",
-    "pmopca_fit",
-    "projected_mode_covariance",
-    "projected_series",
-    "rank_accuracy",
-    "read_loadings",
-    "read_tensor_series",
-    "reconstruct_signals",
-    "reconstruction_error",
-    "replication_rng",
-    "run_experiment",
-    "scenario_config",
-    "select_rank_from_eigenvalues",
-    "series_moments",
-    "signal_rmse",
-    "simulate_core_path",
-    "simulate_dataset",
-    "simulate_noise_path",
-    "subspace_distance",
-    "thin_left_singular",
-    "tipup_mode_matrix",
-    "top_k_eigensystem",
-    "unfold",
-    "varimax",
-    "vectorize",
-    "write_loadings",
-    "write_tensor_series",
-]
+# every public name imported above, and no submodule: under ``import *``
+# ``io`` would shadow the standard library's
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="write a simulated dataset")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("--out", required=True, help="output data file")
     p_sim.add_argument("--T", type=int, default=20, dest="T")
     p_sim.add_argument("--dims", type=_typed(_ints), default="20,20,20")
@@ -113,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replication index for the derived stream")
 
     p_est = sub.add_parser("estimate", help="fit a method and persist it")
+    p_est.set_defaults(run=_cmd_estimate)
     p_est.add_argument("data", help="tensor-series file")
     p_est.add_argument("--out", required=True,
                        help="output prefix for loadings/factors")
@@ -122,11 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_flags(p_est)
 
     p_rank = sub.add_parser("rank", help="eigenvalue-ratio rank selection")
+    p_rank.set_defaults(run=_cmd_rank)
     p_rank.add_argument("data")
     p_rank.add_argument("--method", default="mopca", choices=["mopca", "itipup"])
     _add_estimator_flags(p_rank, ("k_max", "lags", "center"))
 
     p_rec = sub.add_parser("reconstruct", help="apply saved loadings")
+    p_rec.set_defaults(run=_cmd_reconstruct)
     p_rec.add_argument("data")
     p_rec.add_argument("--loadings", required=True,
                        help="prefix of the .A1, .A2, ... loading files")
@@ -137,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "re-adding the temporal mean")
 
     p_bench = sub.add_parser("bench", help="replication study from a config file")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("config")
     p_bench.add_argument("--out", default=None, help="output directory")
     p_bench.add_argument("--reps", type=int, default=None)
@@ -250,15 +255,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "rank": _cmd_rank,
-    "reconstruct": _cmd_reconstruct,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
@@ -267,7 +263,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except TensorSeriesFormatError as exc:
         print(f"file format error: {exc}", file=sys.stderr)
         return IO_EXIT

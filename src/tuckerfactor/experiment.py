@@ -52,7 +52,7 @@ from .metrics import (
     column_space_distance,
     rank_accuracy,
 )
-from .simulation import SCENARIOS, SimConfig, simulate_dataset
+from .simulation import SCENARIOS, SimConfig, _stream_key, simulate_dataset
 from .tensor import _integer
 
 logger = logging.getLogger(__name__)
@@ -417,10 +417,11 @@ def parse_experiment_config(path, flags=None) -> ExperimentConfig:
         phi, psi = SCENARIOS.get(name, (phi, psi))
         if missing := [k for k in ("T", "dims") if k not in parser["simulation"]]:
             raise ValueError(f"[simulation] {missing[0]}: missing (it has no default)")
-        seed = read("simulation", "seed", int)
+        key = partial(_stream_key, name="seed")  # named by its flag or key
+        seed = read("simulation", "seed", int, None, key)
         args = (read("simulation", "T", int), read("simulation", "dims", _ints),
                 read("simulation", "ranks", _ints, (2, 3, 4)), phi, psi,
-                read("experiment", "seed", int, 0) if seed is None else seed)
+                read("experiment", "seed", int, 0, key) if seed is None else seed)
         try:
             sim = SimConfig(*args)
         except ValueError as exc:

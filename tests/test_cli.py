@@ -1,7 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     fortran_payload,
@@ -768,20 +774,74 @@ class TestUnreadableConfig:
 class TestNegativeSeeds:
     """A negative seed or replication fails by name, with the usage code."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["simulate", "--rep", "-1"], "replication must be non-negative, got -1"),
-        (["bench"], "[simulation]: seed must be non-negative, got -1"),
-    ], ids=["simulate-seed", "simulate-rep", "bench-seed"])
-    def test_usage_error(self, tmp_path, capsys, argv, message):
+    @pytest.mark.parametrize("argv, seeded, message", [
+        (["simulate", "--seed", "-1"], "simulation", "seed must be non-negative, got -1"),
+        (["simulate", "--rep", "-1"], "simulation",
+         "replication must be non-negative, got -1"),
+        (["bench"], "simulation", "[simulation] seed: seed must be non-negative, got -1"),
+        (["bench", "--seed", "-2"], "simulation", "--seed: seed must be non-negative, got -2"),
+        (["bench"], "experiment", "[experiment] seed: seed must be non-negative, got -1"),
+    ], ids=["simulate-seed", "simulate-rep", "bench-seed", "bench-flag-seed",
+            "bench-experiment-seed"])
+    def test_usage_error(self, tmp_path, capsys, argv, seeded, message):
+        """``seeded`` is the section of the config file that holds ``seed = -1``;
+        a bench error names the flag or the key that gave the seed."""
         out = tmp_path / "out"
         cfg = tmp_path / "bench.cfg"
-        cfg.write_text(f"[experiment]\nout = {out}\n[simulation]\nT = 5\n"
-                       "dims = 4, 4\nranks = 1, 1\nseed = -1\n")
-        argv = argv + ([str(cfg)] if argv == ["bench"] else ["--out", str(out)])
+        sections = {"experiment": f"out = {out}\n",
+                    "simulation": "T = 5\ndims = 4, 4\nranks = 1, 1\n"}
+        sections[seeded] += "seed = -1\n"
+        cfg.write_text("".join(f"[{name}]\n{body}" for name, body in sections.items()))
+        argv = argv + ([str(cfg)] if argv[0] == "bench" else ["--out", str(out)])
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+
+class TestMutatedFile:
+    """A mutated TNSF file never makes ``rank``, ``estimate`` or ``reconstruct``
+    raise: each exits with a documented code and no traceback."""
+
+    SHAPE = (12, 6, 5, 4)
+    HEADER = 16 + 8 * (len(SHAPE) - 1)  # the fixed part, then an 8-byte size a mode
+    ENTRIES = int(np.prod(SHAPE))
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutated")
+        good = root / "good.tnsf"
+        write_tensor_series(good, np.random.default_rng(7).standard_normal(self.SHAPE))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["estimate", str(good), "--out", str(root / "fit")]) == 0
+        return root, good.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutation=st.one_of(
+        st.tuples(st.just("header"), st.integers(0, HEADER - 1), st.integers(0, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, HEADER + 8 * ENTRIES), st.none()),
+        st.tuples(st.just("payload"), st.integers(0, ENTRIES - 1),
+                  st.sampled_from([np.nan, np.inf, -np.inf, 1e308, 5e-324, 0.0])),
+    ))
+    def test_exits_with_a_code(self, files, mutation):
+        root, raw = files
+        kind, at, value = mutation
+        if kind == "header":
+            raw = raw[:at] + bytes([value]) + raw[at + 1:]
+        elif kind == "truncate":
+            raw = raw[:at]
+        else:
+            at = self.HEADER + 8 * at
+            raw = raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+        path = root / "mutated.tnsf"
+        path.write_bytes(raw)
+        for argv in (["rank"], ["estimate", "--out", str(root / "out")],
+                     ["reconstruct", "--loadings", str(root / "fit")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
 
 
 class TestExitCodes:

@@ -2,12 +2,14 @@
 
 import hashlib
 import importlib.util
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tuckerfactor
 from tuckerfactor import cli, tensor
@@ -24,10 +26,14 @@ def sha(value):
     return h.hexdigest()
 
 
-def test_the_script_prints_each_group_as_computed_in_process():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_script_prints_each_group_as_computed_in_process(threads):
+    # on two cores the large cases take the two-thread passes at 1 BLAS thread
+    # and run in turn at 2: the lines must not depend on which
     done = subprocess.run([sys.executable, str(_PATH), "--src",
                            str(Path(tuckerfactor.__file__).parents[1])],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
     printed = dict(line.split(" ") for line in done.stdout.splitlines())
     assert list(printed) == list(digest.GROUPS)
     assert list(printed) == ["simulate", "simulate-large", "fits", "ranks", "layers",

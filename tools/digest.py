@@ -27,9 +27,11 @@ default), and one line ``<group> <sha256>`` is printed per output group:
   that, where ``tensor._reads_at_once`` holds, the reader, the
   projections and the writes of ``reconstruct`` run on two threads.
 
-Two trees whose outputs are bitwise equal print the same lines.  Compare
-them at one BLAS thread count (``OPENBLAS_NUM_THREADS``): the simulator's
-bits at large tensors depend on it.
+Two trees whose outputs are bitwise equal print the same lines.  One
+tree prints the same lines at 1 and at 2 BLAS threads
+(``OPENBLAS_NUM_THREADS``), and ``tests/test_digest.py`` checks that.
+That holds for these inputs only: the simulator's series with 128-wide
+modes differ between thread counts, so compare trees at one count.
 """
 
 from __future__ import annotations
